@@ -141,7 +141,10 @@ func TestOriginScenarioBadFlags(t *testing.T) {
 		{"-scenario", "day", "-replicas", "2"},  // chaos windows need single-node handles
 		{"-scenario", "calm", "-replicas", "x"}, // non-numeric flag value
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+		// Name the missing-spec case without its random temp path, so the
+		// subtest keeps one name from run to run.
+		name := strings.ReplaceAll(strings.Join(args, " "), missingSpec, "missing.json")
+		t.Run(name, func(t *testing.T) {
 			start := time.Now()
 			out := runExpect2(t, "origin-scenario", args...)
 			if elapsed := time.Since(start); elapsed > 10*time.Second {

@@ -380,16 +380,16 @@ func (m *Manager) Get(id string) (*Session, error) {
 	if lerr == nil && int64(s.Slot()) >= ver {
 		return s, nil
 	}
-	return m.restore(blob)
+	return m.restore(id, blob)
 }
 
-// restore rebuilds a session from a stored snapshot and installs it,
+// restore rebuilds session id from a stored snapshot and installs it,
 // replacing any stale local copy.
-func (m *Manager) restore(blob []byte) (*Session, error) {
+func (m *Manager) restore(id string, blob []byte) (*Session, error) {
 	if m.shutdown.Load() {
 		return nil, ErrShutdown
 	}
-	st, err := DecodeSessionState(blob)
+	st, err := decodeStoredState(id, blob)
 	if err != nil {
 		return nil, err
 	}
@@ -454,11 +454,25 @@ func (m *Manager) StoredState(id string) (SessionState, bool, error) {
 	if err != nil || !ok {
 		return SessionState{}, false, err
 	}
-	st, err := DecodeSessionState(blob)
+	st, err := decodeStoredState(id, blob)
 	if err != nil {
 		return SessionState{}, false, err
 	}
 	return st, true, nil
+}
+
+// decodeStoredState decodes the snapshot the store holds under id and
+// refuses one that belongs to another session: a store key shared by two
+// ids must never hand one wearer's state to the other.
+func decodeStoredState(id string, blob []byte) (SessionState, error) {
+	st, err := DecodeSessionState(blob)
+	if err != nil {
+		return SessionState{}, err
+	}
+	if st.ID != id {
+		return SessionState{}, fmt.Errorf("fleet: state stored for session %q belongs to session %q", id, st.ID)
+	}
+	return st, nil
 }
 
 // HasStore reports whether session state is externalized.

@@ -187,3 +187,35 @@ func TestManagerCreateWithIDConflictsAndDelete(t *testing.T) {
 		t.Fatalf("double delete: err = %v, want ErrNotFound", err)
 	}
 }
+
+// TestManagerRejectsAnotherSessionsSnapshot: when a store key holds a
+// snapshot of a different session (two ids aliasing one key), neither a
+// restore nor StoredState may hand that session out under the asked-for id.
+func TestManagerRejectsAnotherSessionsSnapshot(t *testing.T) {
+	a, b, st := storePair(t)
+	if _, err := a.CreateWithID("victim", "MHEALTH", 7, Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		driveRound(t, a, "victim", i)
+	}
+	blob, ver, ok, err := st.Load("victim")
+	if err != nil || !ok {
+		t.Fatalf("Load(victim): ok=%v err=%v", ok, err)
+	}
+	if err := st.Put("alias", ver, blob); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := b.Get("alias"); err == nil {
+		t.Fatalf("Get(alias) restored session %q at slot %d", s.ID(), s.Slot())
+	}
+	if got, ok, err := b.StoredState("alias"); err == nil {
+		t.Fatalf("StoredState(alias) = session %q ok=%v", got.ID, ok)
+	}
+	if b.Snapshot().SessionsRestored != 0 {
+		t.Fatal("a mismatched snapshot was counted as restored")
+	}
+	if s, err := b.Get("victim"); err != nil || s.Slot() != 3 {
+		t.Fatalf("Get(victim) after the alias attempt: %v", err)
+	}
+}

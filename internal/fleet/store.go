@@ -1,12 +1,7 @@
 package fleet
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sync"
 )
 
@@ -96,106 +91,4 @@ func (s *MemStateStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
-}
-
-// FileStateStore is a StateStore backed by a directory of one file per
-// session — the multi-process quickstart transport (N origin-serve replicas
-// pointed at one -state-dir behind an origin-router). Each file holds an
-// 8-byte little-endian version followed by the snapshot blob; writes go to
-// a temp file and rename into place, so readers never observe a torn
-// snapshot. The version check is read-then-rename without a directory lock:
-// with the router enforcing a single owner per session, concurrent writers
-// for one id only occur transiently around a migration, where both carry
-// identical or ordered versions.
-type FileStateStore struct {
-	dir string
-	mu  sync.Mutex // serialises same-process writers (cross-process relies on rename atomicity)
-}
-
-// NewFileStateStore opens (creating if needed) a directory-backed store.
-func NewFileStateStore(dir string) (*FileStateStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("fleet: state dir: %w", err)
-	}
-	return &FileStateStore{dir: dir}, nil
-}
-
-// path maps a session id onto a filename, hex-escaping anything outside the
-// safe character set so a hostile id cannot traverse out of the directory.
-func (s *FileStateStore) path(id string) string {
-	safe := true
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_') {
-			safe = false
-			break
-		}
-	}
-	name := id
-	if !safe || id == "" {
-		name = fmt.Sprintf("x%x", id)
-	}
-	return filepath.Join(s.dir, name+".session")
-}
-
-// Load implements StateStore.
-func (s *FileStateStore) Load(id string) ([]byte, int64, bool, error) {
-	data, err := os.ReadFile(s.path(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, false, nil
-	}
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("fleet: state load %q: %w", id, err)
-	}
-	if len(data) < 8 {
-		return nil, 0, false, fmt.Errorf("fleet: state file for %q truncated", id)
-	}
-	ver := int64(binary.LittleEndian.Uint64(data))
-	if ver < 0 {
-		return nil, 0, false, fmt.Errorf("fleet: state file for %q has negative version", id)
-	}
-	return data[8:], ver, true, nil
-}
-
-// Put implements StateStore.
-func (s *FileStateStore) Put(id string, ver int64, blob []byte) error {
-	if ver < 0 {
-		return fmt.Errorf("fleet: negative state version %d", ver)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, cur, ok, err := s.Load(id); err != nil {
-		return err
-	} else if ok && ver < cur {
-		return nil // stale write from a previous owner
-	}
-	data := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(blob)), uint64(ver))
-	data = append(data, blob...)
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("fleet: state put %q: %w", id, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: state put %q: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: state put %q: %w", id, err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: state put %q: %w", id, err)
-	}
-	return nil
-}
-
-// Delete implements StateStore.
-func (s *FileStateStore) Delete(id string) error {
-	err := os.Remove(s.path(id))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("fleet: state delete %q: %w", id, err)
-	}
-	return nil
 }

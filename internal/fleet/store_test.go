@@ -122,6 +122,34 @@ func TestFileStateStoreEscapesHostileIDs(t *testing.T) {
 	}
 }
 
+// TestFileStateStoreNamesAreInjective: an escaped id must never land on
+// the file of an id kept as is — "a.b" escapes to x612e62, which is also a
+// safe id in its own right.
+func TestFileStateStoreNamesAreInjective(t *testing.T) {
+	s, err := NewFileStateStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"a.b", "x612e62", "", "x", "x78", "xx", "s-1"}
+	seen := map[string]string{}
+	for i, id := range ids {
+		p := s.path(id)
+		if other, dup := seen[p]; dup {
+			t.Fatalf("ids %q and %q share the file %s", other, id, p)
+		}
+		seen[p] = id
+		if err := s.Put(id, 1, []byte(fmt.Sprintf("blob-%d", i))); err != nil {
+			t.Fatalf("Put(%q): %v", id, err)
+		}
+	}
+	for i, id := range ids {
+		blob, _, ok, err := s.Load(id)
+		if err != nil || !ok || string(blob) != fmt.Sprintf("blob-%d", i) {
+			t.Fatalf("Load(%q) = %q ok=%v err=%v, want blob-%d", id, blob, ok, err, i)
+		}
+	}
+}
+
 func TestStateStoreConcurrentWriters(t *testing.T) {
 	for name, s := range testStores(t) {
 		t.Run(name, func(t *testing.T) {

@@ -195,9 +195,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// With externalized state, the round is durable before the client sees
-	// its result: once the response ships, any replica can continue from
-	// slot+1. HTTP rounds carry no stream lineage, so the attachment is nil.
+	// With externalized state, the round's snapshot is in the store before
+	// the client sees its result: once the response ships, any replica can
+	// continue from slot+1, even if this process is killed. The file store
+	// does not fsync, so an OS crash or power loss can still lose recent
+	// rounds. HTTP rounds carry no stream lineage, so the attachment is nil.
 	if s.cfg.Manager.HasStore() {
 		if err := s.cfg.Manager.PersistSession(r.PathValue("id"), nil); err != nil {
 			writeError(w, err)
@@ -250,6 +252,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("stream_parked_total", "Stream states parked on disconnect awaiting resume.", m.StreamParked.Load())
 		counter("stream_resume_expired_total", "Parked stream states dropped by TTL or cap.", m.StreamExpired.Load())
 		counter("stream_result_flushes_total", "Downlink writes carrying one or more coalesced result frames.", m.StreamResultFlushes.Load())
-		counter("stream_heartbeats_total", "Server heartbeat frames written.", m.StreamHeartbeats.Load())
+		counter("stream_heartbeats_total", "Server heartbeat frames sent.", m.StreamHeartbeats.Load())
 	}
 }

@@ -62,7 +62,9 @@ type Metrics struct {
 	StreamStoreResumes atomic.Int64
 
 	// Downlink instrumentation: result-frame flushes (consecutive results
-	// coalesce into one write) and heartbeats emitted.
+	// coalesce into one write) and heartbeats emitted. Each is counted as
+	// its write starts, so a peer that has read the frame always sees it
+	// counted; a write that then fails is still counted.
 	StreamResultFlushes atomic.Int64
 	StreamHeartbeats    atomic.Int64
 }
@@ -355,12 +357,12 @@ func (s *StreamServer) handle(conn net.Conn) {
 				case <-hbStop:
 					return
 				case <-t.C:
+					if s.cfg.Metrics != nil {
+						s.cfg.Metrics.StreamHeartbeats.Add(1)
+					}
 					if err := w.write(hb, streamCloseTimeout); err != nil {
 						conn.Close()
 						return
-					}
-					if s.cfg.Metrics != nil {
-						s.cfg.Metrics.StreamHeartbeats.Add(1)
 					}
 				}
 			}
@@ -373,13 +375,13 @@ func (s *StreamServer) handle(conn net.Conn) {
 		if len(pending) == 0 {
 			return nil
 		}
+		if s.cfg.Metrics != nil {
+			s.cfg.Metrics.StreamResultFlushes.Add(1)
+		}
 		if err := w.write(pending, streamWriteTimeout); err != nil {
 			return err
 		}
 		pending = pending[:0]
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.StreamResultFlushes.Add(1)
-		}
 		return nil
 	}
 	for {
@@ -449,7 +451,9 @@ func (s *StreamServer) handle(conn net.Conn) {
 			// Persist the combined snapshot (session core + lineage) after
 			// the classify and before the result reaches the client: once the
 			// client sees slot k, the store must be able to serve slot k+1 —
-			// the crash-recovery contract the shard drill gates on.
+			// the crash-recovery contract the shard drill gates on. It holds
+			// when this process dies; the file store does not fsync, so an OS
+			// crash or power loss can still lose recent rounds.
 			if s.cfg.Manager.HasStore() {
 				if err := s.cfg.Manager.PersistSession(hello.Session, encodeStreamAttachment(st)); err != nil {
 					park = false
