@@ -78,30 +78,38 @@ verify-bench-serve:
 	$(GO) run ./cmd/benchdiff serve-verify BENCH_serve.json | tee -a bench_diff.txt
 	$(GO) test -race -run 'TestStreamLoadgenMatchesSerialReplay' ./internal/fleet
 
-# Connection-chaos gate (run by the chaos-smoke CI job): drive the stream
-# protocol through a fault-injecting listener that kills every connection
-# after a seeded uplink-byte budget, under the race detector, then hold the
-# report to the resilience bars — every round classified exactly once
-# (no losses, no double-classifies), 100% resume success, >=99%
-# availability. The -gap paces rounds like a real duty-cycled wearable:
-# availability's denominator is wall time including idle, and a closed-loop
-# flat-out drill has so little wall that ~30 reconnect handshakes alone
-# would eat the 1% budget. The replay/resume regression tests ride along.
+# Every resilience drill below is an origin-scenario run held to one verdict,
+# benchdiff slo-verify: zero lost rounds, zero double classifications, 100%
+# resume success, an availability floor and a shed-rate bound, non-vacuity
+# read from the report's own plan (a chaos phase must reconnect, a pressure
+# phase must shed, a planned kill must execute and migrate a session, a
+# planned join must execute), and byte-identical canonical sections across
+# the two same-seed runs of each drill.
+
+# Connection-chaos gate (run by the chaos-smoke CI job): the committed drill
+# spec — 8 stream-only wearers, every connection killed after a seeded
+# uplink-byte budget — twice under -race on tiny deterministic models, the
+# first run also replay-verified (every lineage's classifications
+# byte-identical to serial execution despite the kills). The drill paces
+# rounds 90 ms apart like a duty-cycled wearable: availability's denominator
+# is wall time including idle, and a flat-out drill has so little wall that
+# ~30 reconnect handshakes alone would eat the 1% budget. The replay/resume
+# regression tests ride along.
+CHAOS_DRILL = internal/scenario/testdata/chaos_drill.json
 verify-chaos:
-	$(GO) run -race ./cmd/origin-loadgen -users 8 -requests 80 -seed 1 -tiny-model \
-		-mode stream -chaos -gap 90ms -json /tmp/chaos_report.json
-	$(GO) run ./cmd/benchdiff chaos-verify /tmp/chaos_report.json | tee -a bench_diff.txt
+	$(GO) run -race ./cmd/origin-scenario -spec $(CHAOS_DRILL) -tiny -verify-replay -o /tmp/slo_chaos.json
+	$(GO) run -race ./cmd/origin-scenario -spec $(CHAOS_DRILL) -tiny -o /tmp/slo_chaos_rerun.json
+	$(GO) run ./cmd/benchdiff slo-verify /tmp/slo_chaos.json /tmp/slo_chaos_rerun.json | tee -a bench_diff.txt
 	$(GO) test -race -run 'TestStreamChaos|TestStreamResume' ./internal/fleet ./internal/serve
 
-# Scenario-SLO gate (run by the scenario-smoke CI job): run the built-in
-# chaos day twice under -race on tiny deterministic models, hold the first
-# report to the SLO bars (zero lost rounds, clean resume protocol, >=99%
-# availability, bounded shed rate) and the pair to the determinism bar
-# (byte-identical canonical sections across same-seed runs). The calm day
-# then proves live ≡ serial-replay on the zero-fault path, and the scenario
-# package's own acceptance tests ride along.
+# Scenario-SLO gate (run by the scenario-smoke CI job): the built-in chaos
+# day (churn, drift, forced shed, kill-everything chaos) twice under -race
+# on tiny deterministic models, the first run also replay-verified — faults
+# change timing, never decisions. The calm day then proves live ≡ serial
+# replay on the zero-fault path, and the scenario package's own acceptance
+# tests ride along.
 verify-scenario:
-	$(GO) run -race ./cmd/origin-scenario -scenario day -seed 7 -tiny -o /tmp/slo_day.json
+	$(GO) run -race ./cmd/origin-scenario -scenario day -seed 7 -tiny -verify-replay -o /tmp/slo_day.json
 	$(GO) run -race ./cmd/origin-scenario -scenario day -seed 7 -tiny -o /tmp/slo_day_rerun.json
 	$(GO) run ./cmd/benchdiff slo-verify /tmp/slo_day.json /tmp/slo_day_rerun.json | tee -a bench_diff.txt
 	$(GO) run -race ./cmd/origin-scenario -scenario calm -seed 7 -tiny -verify-replay -o /dev/null
@@ -110,17 +118,16 @@ verify-scenario:
 # Shard gate (run by the shard-smoke CI job): the built-in shard day — a
 # mid-run replica crash plus a mid-run join over a 3-replica cluster behind
 # the consistent-hash router, every lineage on the binary stream front —
-# twice under -race with the first run also replay-verified (every lineage's
-# classification sequence byte-identical to single-node serial execution).
-# benchdiff then holds the pair to the sharding bars: zero lost rounds, zero
-# double classifications, 100% migrated-session resume, at least one
-# kill/join/migration actually fired, and byte-identical canonical sections
-# across the same-seed runs. The cluster kill-drill and session-migration
+# twice under -race with the first run also replay-verified against
+# single-node serial execution. The pair's byte-identical canonical sections
+# show shard topology never reaches a classification. The shard day keeps
+# its 0.9 availability floor: a replica kill severs every stream spliced
+# through it at once. The cluster kill-drill and session-migration
 # regression tests ride along.
 verify-shard:
 	$(GO) run -race ./cmd/origin-scenario -scenario shard -seed 13 -replicas 3 -tiny -verify-replay -o /tmp/slo_shard.json
 	$(GO) run -race ./cmd/origin-scenario -scenario shard -seed 13 -replicas 3 -tiny -o /tmp/slo_shard_rerun.json
-	$(GO) run ./cmd/benchdiff shard-verify /tmp/slo_shard.json /tmp/slo_shard_rerun.json | tee -a bench_diff.txt
+	$(GO) run ./cmd/benchdiff slo-verify -min-availability 0.9 /tmp/slo_shard.json /tmp/slo_shard_rerun.json | tee -a bench_diff.txt
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race -run 'TestShard|TestStreamStoreResume|TestStreamAttachment|TestManagerMigration|TestSessionCodec|TestStateStore' \
 		./internal/scenario ./internal/serve ./internal/fleet

@@ -10,18 +10,25 @@ import (
 	"origin/internal/obs"
 )
 
-// SLO gating (slo-verify).
+// SLO gating (slo-verify): the one resilience verdict.
 //
 // A scenario run (cmd/origin-scenario) writes an SLO report whose canonical
 // half is a pure function of the scenario seed and whose measured half holds
-// wall-clock observations. slo-verify holds one report to the SLO bars —
-// zero lost rounds, a clean resume protocol, availability and shed-rate
-// bounds, and non-vacuity (a chaos day must actually reconnect, a pressure
-// day must actually shed). Given a second report from another same-seed run,
-// it additionally gates determinism: the two canonical sections must be
-// byte-identical.
+// wall-clock observations. slo-verify holds one report to the resilience
+// bars — zero lost rounds, zero double classifications, 100% resume
+// success, availability and shed-rate bounds — and to non-vacuity read from
+// the report's own plan: a chaos phase must actually reconnect, a pressure
+// phase must actually shed, planned kills or leaves must all execute and
+// migrate at least one session across a shard boundary, and a planned join
+// must execute. Given a second report from another same-seed run, it
+// additionally gates determinism: the two canonical sections must be
+// byte-identical — faults and shard topology shake timing, never decisions.
+// (Live-vs-serial equivalence is origin-scenario's -verify-replay.)
 
-const defaultMaxShedRate = 0.25
+const (
+	defaultMinAvailability = 0.99
+	defaultMaxShedRate     = 0.25
+)
 
 func cmdSLOVerify(args []string) error {
 	minAvailStr, maxShedStr, minAccStr := "", "", ""
@@ -58,7 +65,7 @@ func cmdSLOVerify(args []string) error {
 	}
 	c, m := &rep.Canonical, &rep.Measured
 
-	var chaosPhases, pressurePhases int
+	var chaosPhases, pressurePhases, kills, joins int
 	for _, p := range c.Phases {
 		if p.Chaos {
 			chaosPhases++
@@ -66,18 +73,26 @@ func cmdSLOVerify(args []string) error {
 		if p.Pressure {
 			pressurePhases++
 		}
+		for _, op := range p.ShardOps {
+			if op == "join" {
+				joins++
+			} else {
+				kills++
+			}
+		}
 	}
-	fmt.Printf("benchdiff: slo %q seed=%d lineages=%d ok=%d/%d shed=%d (rate %.4f, max %.4f) reconnects=%d resume=%d/%d availability=%.4f (min %.4f) accuracy=%.4f drift=%.4f\n",
+	fmt.Printf("benchdiff: slo %q seed=%d lineages=%d ok=%d/%d shed=%d (rate %.4f, max %.4f) reconnects=%d resume=%d/%d availability=%.4f (min %.4f) kills=%d/%d joins=%d/%d migrated=%d accuracy=%.4f drift=%.4f\n",
 		c.Name, c.Seed, c.Lineages, m.OK, c.TotalRounds,
 		m.Shed, m.ShedRate, maxShed, m.Reconnects,
 		m.ResumeAttempts-m.ResumeMisses, m.ResumeAttempts,
-		m.Availability, minAvail, c.Accuracy.Overall, c.Accuracy.Drift)
+		m.Availability, minAvail, m.ShardKills, kills, m.ShardJoins, joins, m.MigratedResumes,
+		c.Accuracy.Overall, c.Accuracy.Drift)
 
 	if m.OK != c.TotalRounds || m.Errors != 0 {
 		return fmt.Errorf("scenario lost rounds: ok=%d want=%d errors=%d", m.OK, c.TotalRounds, m.Errors)
 	}
 	if m.DoubleClassifies != 0 {
-		return fmt.Errorf("%d round(s) double-classified across reconnects", m.DoubleClassifies)
+		return fmt.Errorf("%d round(s) double-classified across reconnects or shard moves", m.DoubleClassifies)
 	}
 	if m.ResumeSuccessRate != 1.0 {
 		return fmt.Errorf("resume success rate %.4f, want 1.0 (%d miss(es) in %d attempts)",
@@ -94,6 +109,15 @@ func cmdSLOVerify(args []string) error {
 	}
 	if pressurePhases > 0 && m.Shed < 1 {
 		return fmt.Errorf("%d pressure phase(s) but nothing shed — the pressure never bit, the gate is vacuous", pressurePhases)
+	}
+	if m.ShardKills < kills {
+		return fmt.Errorf("%d kill/leave op(s) planned but %d executed — the gate is vacuous", kills, m.ShardKills)
+	}
+	if kills > 0 && m.MigratedResumes < 1 {
+		return fmt.Errorf("%d kill/leave op(s) but no session migrated across shard boundaries — the topology changes moved nothing", kills)
+	}
+	if joins > 0 && m.ShardJoins < 1 {
+		return fmt.Errorf("%d join op(s) planned but no replica joined — the gate never saw a rebalance toward a new member", joins)
 	}
 	if minAcc > 0 && c.Accuracy.Overall < minAcc {
 		return fmt.Errorf("accuracy %.4f below required %.4f", c.Accuracy.Overall, minAcc)
@@ -113,7 +137,7 @@ func cmdSLOVerify(args []string) error {
 			return err
 		}
 		if !bytes.Equal(a, b) {
-			return fmt.Errorf("canonical sections differ across same-seed runs (digest %s vs %s) — the scenario engine is non-deterministic",
+			return fmt.Errorf("canonical sections differ across same-seed runs (digest %s vs %s) — the scenario engine is non-deterministic, or faults or shard topology leaked into classifications",
 				rep.Canonical.Digest, twin.Canonical.Digest)
 		}
 		fmt.Printf("benchdiff: slo canonical sections byte-identical across runs (digest %s)\n", rep.Canonical.Digest)

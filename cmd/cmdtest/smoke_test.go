@@ -197,12 +197,6 @@ func TestOriginLoadgenBadFlags(t *testing.T) {
 		{"-mode", "stream", "-addr", "http://127.0.0.1:1"}, // external server needs -stream-addr too
 		{"-mode", "windows", "-tiny-model", "-addr", "http://127.0.0.1:1"},
 		{"-reconnect-max", "-1"},
-		{"-gap", "-1ms"},
-		{"-chaos"}, // chaos needs stream mode
-		{"-mode", "stream", "-chaos", "-addr", "http://127.0.0.1:1", "-stream-addr", "127.0.0.1:1"},
-		{"-mode", "stream", "-chaos", "-chaos-kill-rate", "2"},
-		{"-mode", "stream", "-chaos", "-chaos-kill-min-bytes", "0"},
-		{"-mode", "stream", "-chaos", "-chaos-kill-max-bytes", "1"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			runExpect2(t, "origin-loadgen", args...)

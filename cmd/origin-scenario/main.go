@@ -4,7 +4,7 @@
 //	origin-scenario -scenario day -seed 7 -o slo.json
 //	origin-scenario -scenario calm -verify-replay -tiny
 //	origin-scenario -scenario shard -replicas 3 -verify-replay -tiny
-//	origin-scenario -spec myday.json -profile PAMAP2
+//	origin-scenario -spec internal/scenario/testdata/chaos_drill.json -tiny -verify-replay
 //
 // The stack (session manager, HTTP front, chaos-wrapped binary stream
 // front) is stood up in-process because mid-run fault and pressure windows
@@ -15,8 +15,10 @@
 // itself (phases, churn, drift, chaos, pressure, shard ops) is either a
 // built-in (-scenario day|calm|shard) or a declarative JSON spec (-spec);
 // see internal/scenario for the phase model and determinism contract. The
-// report's canonical section is byte-identical across same-seed runs and is
-// gated in CI by `benchdiff slo-verify` and `benchdiff shard-verify`.
+// connection-chaos drill is such a spec
+// (internal/scenario/testdata/chaos_drill.json). The report's canonical
+// section is byte-identical across same-seed runs, and every drill's report
+// is gated in CI by `benchdiff slo-verify`.
 package main
 
 import (

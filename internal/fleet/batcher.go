@@ -39,29 +39,17 @@ type scorer interface {
 	scoreWindows(sensors []int, windows []*tensor.Tensor) []windowScore
 }
 
-// directScorer is the unbatched path: borrow one pooled net set and run the
-// single-window Predict per window. Standalone sessions (the facade, replay
-// tests) and managers with batching disabled use it.
+// directScorer is the unbatched path: each window is scored on its own, as
+// a batch of one, on the calling goroutine. Standalone sessions (the facade,
+// replay tests) and managers with batching disabled use it.
 type directScorer struct {
 	m *Model
 }
 
 func (d directScorer) scoreWindows(sensors []int, windows []*tensor.Tensor) []windowScore {
 	out := make([]windowScore, len(sensors))
-	if d.m.Int8() {
-		qnets := d.m.acquireQNets()
-		defer d.m.releaseQNets(qnets)
-		for i, w := range windows {
-			class, probs := qnets[sensors[i]].Predict(w)
-			out[i] = windowScore{class: class, conf: probs.Variance()}
-		}
-		return out
-	}
-	nets := d.m.acquireNets()
-	defer d.m.releaseNets(nets)
 	for i, w := range windows {
-		class, probs := nets[sensors[i]].Predict(w)
-		out[i] = windowScore{class: class, conf: probs.Variance()}
+		d.m.scoreSensor(sensors[i], w.Reshape(1, w.Dim(0), w.Dim(1)), out[i:i+1])
 	}
 	return out
 }
@@ -168,30 +156,14 @@ func (b *sensorBatcher) flush(pending []scoreJob) {
 	}
 	input := tensor.FromSlice(slab, n, synth.Channels, b.model.Window)
 
-	// Materialise every score, then release the borrowed nets, then demux.
-	// The probs tensor aliases the net's own scratch, and reply sends can
-	// block on slow consumers — holding a pooled net across the demux would
-	// both starve the pool under load and read scratch that another borrower
-	// could be overwriting.
+	// Materialise every score (scoreSensor releases the borrowed nets before
+	// returning), then demux: reply sends can block on slow consumers, and
+	// holding a pooled net across the demux would starve the pool under load.
 	if cap(b.scores) < n {
 		b.scores = make([]windowScore, n)
 	}
 	scores := b.scores[:n]
-	if b.model.Int8() {
-		qnets := b.model.acquireQNets()
-		classes, probs := qnets[b.sensor].PredictBatch(input)
-		for i := range pending {
-			scores[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
-		}
-		b.model.releaseQNets(qnets)
-	} else {
-		nets := b.model.acquireNets()
-		classes, probs := nets[b.sensor].PredictBatch(input)
-		for i := range pending {
-			scores[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
-		}
-		b.model.releaseNets(nets)
-	}
+	b.model.scoreSensor(b.sensor, input, scores)
 	for i, j := range pending {
 		j.reply <- scoredJob{idx: j.idx, score: scores[i]}
 	}

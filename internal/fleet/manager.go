@@ -285,6 +285,29 @@ func (m *Manager) createSession(id, profile string, user int64, o Opts) (*Sessio
 	if m.shutdown.Load() {
 		return nil, ErrShutdown
 	}
+	s, err := m.newServed(profile, func(model *Model) (*Session, error) {
+		return NewSession(id, user, model, o)
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.install(s, false)
+	m.metrics.SessionsCreated.Add(1)
+	// Persist the slot-0 snapshot so the session is adoptable by another
+	// replica even if this one dies before the first classified round.
+	if m.cfg.State != nil {
+		if err := m.persistLocked(s, nil); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// newServed builds a session on profile's model with build and wires it to
+// this manager's scoring: the model's int8 nets when the manager serves
+// quantized, its micro-batchers when batching is on (a closed manager's
+// sessions keep the direct scorer).
+func (m *Manager) newServed(profile string, build func(*Model) (*Session, error)) (*Session, error) {
 	model, err := m.reg.Get(profile)
 	if err != nil {
 		return nil, err
@@ -294,22 +317,13 @@ func (m *Manager) createSession(id, profile string, user int64, o Opts) (*Sessio
 			return nil, err
 		}
 	}
-	s, err := NewSession(id, user, model, o)
+	s, err := build(model)
 	if err != nil {
 		return nil, err
 	}
 	if m.batchers != nil {
 		if sc := m.batchers.scorerFor(model); sc != nil {
 			s.score = sc
-		}
-	}
-	m.install(s, false)
-	m.metrics.SessionsCreated.Add(1)
-	// Persist the slot-0 snapshot so the session is adoptable by another
-	// replica even if this one dies before the first classified round.
-	if m.cfg.State != nil {
-		if err := m.persistLocked(s, nil); err != nil {
-			return nil, err
 		}
 	}
 	return s, nil
@@ -393,23 +407,11 @@ func (m *Manager) restore(id string, blob []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := m.reg.Get(st.Profile)
+	s, err := m.newServed(st.Profile, func(model *Model) (*Session, error) {
+		return newSessionFromState(st, model)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if m.cfg.Quantized {
-		if err := model.EnableInt8(); err != nil {
-			return nil, err
-		}
-	}
-	s, err := newSessionFromState(st, model)
-	if err != nil {
-		return nil, err
-	}
-	if m.batchers != nil {
-		if sc := m.batchers.scorerFor(model); sc != nil {
-			s.score = sc
-		}
 	}
 	m.install(s, true)
 	m.metrics.SessionsRestored.Add(1)

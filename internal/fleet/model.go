@@ -41,6 +41,7 @@ import (
 	"origin/internal/ensemble"
 	"origin/internal/experiments"
 	"origin/internal/synth"
+	"origin/internal/tensor"
 )
 
 // Model is the immutable, shareable half of a deployment: one trained
@@ -141,6 +142,30 @@ func (m *Model) acquireQNets() []*dnn.QuantizedNetwork {
 }
 
 func (m *Model) releaseQNets(nets []*dnn.QuantizedNetwork) { m.qnets.Put(nets) }
+
+// scoreSensor scores a batch of one sensor's windows, input shaped
+// (len(out), channels, window), on whichever net set is enabled — the int8
+// nets after EnableInt8, the float nets otherwise — and writes each window's
+// class and confidence (softmax variance) to out. Batched forwards are
+// bit-identical to single-window ones per window, so the batch size never
+// changes a score. The probabilities alias the borrowed net's scratch, so
+// every score is materialised before the nets go back to the pool.
+func (m *Model) scoreSensor(sensor int, input *tensor.Tensor, out []windowScore) {
+	var classes []int
+	var probs *tensor.Tensor
+	if m.Int8() {
+		qnets := m.acquireQNets()
+		defer m.releaseQNets(qnets)
+		classes, probs = qnets[sensor].PredictBatch(input)
+	} else {
+		nets := m.acquireNets()
+		defer m.releaseNets(nets)
+		classes, probs = nets[sensor].PredictBatch(input)
+	}
+	for i := range out {
+		out[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
+	}
+}
 
 // BuildFunc produces a served model for a profile name. The default
 // builder trains (or loads from cache) via experiments.BuildSystem.

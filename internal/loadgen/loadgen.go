@@ -94,13 +94,6 @@ type Config struct {
 	// before a user hard-fails (stream mode; default 8). The counter resets
 	// on every completed handshake.
 	ReconnectMax int
-	// Gap is per-user think time between rounds (default 0 = closed-loop
-	// flat out). A real wearable classifies about once a second, not
-	// back-to-back, and the availability column's denominator is user wall
-	// time *including* idle — so chaos drills that hold availability to a
-	// bar need a realistic gap, or a handful of reconnects dominates a
-	// wall-free run.
-	Gap time.Duration
 	// Client is the HTTP client (default: 30 s timeout).
 	Client *http.Client
 	// Traces records every session's classification sequence in the
@@ -126,6 +119,14 @@ func (c *Config) noteRound() {
 	n := c.rounds.Add(1)
 	if c.OnRound != nil {
 		c.OnRound(int(n))
+	}
+}
+
+// createRequest is user i's session-create request.
+func (c *Config) createRequest(i int) serve.CreateSessionRequest {
+	return serve.CreateSessionRequest{
+		Profile: c.Profile, User: UserID(i),
+		StaleLimit: c.StaleLimit, Quorum: c.Quorum, Freeze: c.Freeze,
 	}
 }
 
@@ -177,11 +178,11 @@ type Report struct {
 	ParseNsPerClassification float64 `json:"parseNsPerClassification"`
 
 	// Resume/availability columns. Only stream mode can make them non-zero,
-	// but every mode emits them — benchdiff consumers (chaos-verify,
-	// slo-verify, report diffing) see one schema regardless of payload kind
-	// instead of keys that appear and vanish with the mode. Reconnects
-	// counts completed re-handshakes after a connection loss; ResumeAttempts
-	// the hello-with-token handshakes the server answered; ResumeMisses the
+	// but every mode emits them — report consumers (benchdiff serve-extract,
+	// report diffing) see one schema regardless of payload kind instead of
+	// keys that appear and vanish with the mode. Reconnects counts completed
+	// re-handshakes after a connection loss; ResumeAttempts the
+	// hello-with-token handshakes the server answered; ResumeMisses the
 	// answers that found no resumable state. DoubleClassifies counts rounds
 	// the server classified more than once — the resume protocol's headline
 	// invariant is that this stays zero under any disconnect pattern.
@@ -229,21 +230,23 @@ type Stream struct {
 // NewStream builds the i-th user's request stream.
 func NewStream(cfg *Config, profile *synth.Profile, i int) *Stream {
 	seed := streamSeed(cfg.Seed, i)
-	// Shorter segments than the simulator default (240 slots ≈ 60 s):
-	// serving rounds are sparser than scheduler slots, and short load runs
-	// should still cross several activity transitions.
-	tl := synth.GenerateTimeline(profile, synth.TimelineConfig{
-		Slots: cfg.Requests, MeanSegment: 40, MinSegment: 10, Seed: seed,
-	})
-	u := synth.NewUser(UserID(i))
 	return &Stream{
 		profile:  profile,
-		timeline: tl,
-		gen:      synth.NewGenerator(profile, u, windowLen, seed+1),
+		timeline: userTimeline(cfg, profile, seed),
+		gen:      synth.NewGenerator(profile, synth.NewUser(UserID(i)), windowLen, seed+1),
 		rng:      rand.New(rand.NewSource(seed + 2)),
 		cfg:      cfg,
-		step:     0,
 	}
+}
+
+// userTimeline is a user's ground-truth activity timeline, one slot per
+// round. Segments are shorter than the simulator default (240 slots ≈ 60 s):
+// serving rounds are sparser than scheduler slots, and short load runs
+// should still cross several activity transitions.
+func userTimeline(cfg *Config, profile *synth.Profile, seed int64) *synth.Timeline {
+	return synth.GenerateTimeline(profile, synth.TimelineConfig{
+		Slots: cfg.Requests, MeanSegment: 40, MinSegment: 10, Seed: seed,
+	})
 }
 
 // windowLen matches experiments.Window without importing the heavyweight
@@ -287,9 +290,9 @@ func (st *Stream) Next(k int) serve.ClassifyRequest {
 	return req
 }
 
-// profileByName resolves the two served profiles without importing the
+// ProfileByName resolves the two served profiles without importing the
 // experiments package.
-func profileByName(name string) (*synth.Profile, error) {
+func ProfileByName(name string) (*synth.Profile, error) {
 	switch name {
 	case "MHEALTH":
 		return synth.MHEALTHProfile(), nil
@@ -354,16 +357,13 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.ReconnectMax < 1 {
 		return nil, fmt.Errorf("loadgen: reconnect max %d below 1", cfg.ReconnectMax)
 	}
-	if cfg.Gap < 0 {
-		return nil, fmt.Errorf("loadgen: gap %v below 0", cfg.Gap)
-	}
 	if cfg.VoteFlip == 0 {
 		cfg.VoteFlip = 0.2
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	profile, err := profileByName(cfg.Profile)
+	profile, err := ProfileByName(cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -449,17 +449,17 @@ func Run(cfg Config) (*Report, error) {
 	return rep, err
 }
 
-// createSession opens user i's session, retrying transient failures
-// (network errors and 5xx answers) with a short linear backoff. Session
-// creation is safe to retry blindly: loadgen never picks the session id,
-// so a retry after a lost response simply mints a fresh session and the
-// orphan (if the lost create actually landed) idles until eviction. The
-// shard-chaos drills rely on this — a create that races a replica kill
+// CreateSession opens a session and returns its id, retrying transient
+// failures (network errors and 5xx answers) with a short linear backoff.
+// Session creation is safe to retry blindly: the client never picks the
+// session id, so a retry after a lost response simply mints a fresh session
+// and the orphan (if the lost create actually landed) idles until eviction.
+// The shard-chaos drills rely on this — a create that races a replica kill
 // must re-route, not fail the run.
-func createSession(cfg *Config, i int) (serve.CreateSessionResponse, error) {
-	create := serve.CreateSessionRequest{
-		Profile: cfg.Profile, User: UserID(i),
-		StaleLimit: cfg.StaleLimit, Quorum: cfg.Quorum, Freeze: cfg.Freeze,
+func CreateSession(c *http.Client, baseURL string, create serve.CreateSessionRequest) (string, error) {
+	body, err := json.Marshal(create)
+	if err != nil {
+		return "", err
 	}
 	const attempts = 5
 	var lastErr error
@@ -468,16 +468,63 @@ func createSession(cfg *Config, i int) (serve.CreateSessionResponse, error) {
 			time.Sleep(time.Duration(a) * 100 * time.Millisecond)
 		}
 		var created serve.CreateSessionResponse
-		status, _, err := postJSON(cfg.Client, cfg.BaseURL+"/v1/sessions", create, &created)
+		status, err := post(c, baseURL+"/v1/sessions", body, &created)
 		if err == nil && status == http.StatusCreated {
-			return created, nil
+			return created.ID, nil
 		}
-		lastErr = fmt.Errorf("loadgen: user %d create session: status %d err %v", i, status, err)
+		lastErr = fmt.Errorf("loadgen: wearer %d create session: status %d err %v", create.User, status, err)
 		if err == nil && status < 500 {
-			return serve.CreateSessionResponse{}, lastErr // client error: retrying cannot help
+			return "", lastErr // client error: retrying cannot help
 		}
 	}
-	return serve.CreateSessionResponse{}, lastErr
+	return "", lastErr
+}
+
+// HTTPRound is one classify round's outcome over the JSON front.
+type HTTPRound struct {
+	Class int
+	// Sends counts every POST, shed resends included; UplinkBytes is their
+	// total request body size — the uplink-bytes accounting unit of the
+	// JSON modes. Shed counts the 429 answers that were resent.
+	Sends       int
+	UplinkBytes int64
+	Shed        int
+	// Latency is the round trip of the send that was classified.
+	Latency time.Duration
+}
+
+// PostRound sends one classify round to session id and resends it after
+// every shed (429) answer, backing off (1+attempt)·2 ms, so the session
+// always processes the complete, ordered stream. A network error or any
+// other status ends the round with an error; the tallies so far are still
+// returned.
+func PostRound(c *http.Client, baseURL, id string, req serve.ClassifyRequest) (HTTPRound, error) {
+	var r HTTPRound
+	body, err := json.Marshal(req)
+	if err != nil {
+		return r, err
+	}
+	url := baseURL + "/v1/sessions/" + id + "/classify"
+	for attempt := 0; ; attempt++ {
+		var res serve.ClassifyResponse
+		t0 := time.Now()
+		status, err := post(c, url, body, &res)
+		r.Latency = time.Since(t0)
+		r.Sends++
+		r.UplinkBytes += int64(len(body))
+		switch {
+		case err != nil:
+			return r, err
+		case status == http.StatusTooManyRequests:
+			r.Shed++
+			time.Sleep(time.Duration(1+attempt) * 2 * time.Millisecond)
+		case status != http.StatusOK:
+			return r, fmt.Errorf("status %d", status)
+		default:
+			r.Class = res.Class
+			return r, nil
+		}
+	}
 }
 
 // runUser is one closed-loop user: create a session, then send every
@@ -485,78 +532,53 @@ func createSession(cfg *Config, i int) (serve.CreateSessionResponse, error) {
 // processes is always the complete, ordered stream.
 func runUser(cfg *Config, profile *synth.Profile, i int) userResult {
 	var r userResult
-	created, err := createSession(cfg, i)
+	id, err := CreateSession(cfg.Client, cfg.BaseURL, cfg.createRequest(i))
 	if err != nil {
 		r.errs++
 		r.err = err
 		return r
 	}
-	r.trace = SessionTrace{User: UserID(i), ID: created.ID}
+	r.trace = SessionTrace{User: UserID(i), ID: id}
 	st := NewStream(cfg, profile, i)
-	url := cfg.BaseURL + "/v1/sessions/" + created.ID + "/classify"
 	for k := 0; k < cfg.Requests; k++ {
-		if k > 0 && cfg.Gap > 0 {
-			time.Sleep(cfg.Gap)
+		rr, err := PostRound(cfg.Client, cfg.BaseURL, id, st.Next(k))
+		r.sent += rr.Sends
+		r.shed += rr.Shed
+		r.uplinkBytes += rr.UplinkBytes
+		if err != nil {
+			r.errs++
+			r.err = fmt.Errorf("loadgen: user %d round %d: %v", i, k, err)
+			return r
 		}
-		req := st.Next(k)
-		for attempt := 0; ; attempt++ {
-			var res serve.ClassifyResponse
-			t0 := time.Now()
-			status, reqBytes, err := postJSON(cfg.Client, url, req, &res)
-			lat := time.Since(t0)
-			r.sent++
-			// Every send is real uplink, including retries of shed rounds.
-			r.uplinkBytes += int64(reqBytes)
-			if err != nil {
-				r.errs++
-				r.err = fmt.Errorf("loadgen: user %d round %d: %v", i, k, err)
-				return r
-			}
-			if status == http.StatusTooManyRequests {
-				// Shed: back off briefly and resend the same round.
-				r.shed++
-				time.Sleep(time.Duration(1+attempt) * 2 * time.Millisecond)
-				continue
-			}
-			if status != http.StatusOK {
-				r.errs++
-				r.err = fmt.Errorf("loadgen: user %d round %d: status %d", i, k, status)
-				return r
-			}
-			r.ok++
-			cfg.noteRound()
-			r.latencies = append(r.latencies, lat)
-			r.trace.Classes = append(r.trace.Classes, res.Class)
-			if res.Class == st.Truth(k) {
-				r.correct++
-			}
-			break
-		}
+		r.noteOK(cfg, rr.Latency, rr.Class, st.Truth(k))
 	}
 	return r
 }
 
-// postJSON posts v as JSON and decodes the response into out (when the
-// body is JSON). It returns the HTTP status and the request body size —
-// the uplink-bytes accounting unit for the JSON modes.
-func postJSON(c *http.Client, url string, v, out any) (int, int, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, 0, err
+// noteOK tallies one classified round.
+func (r *userResult) noteOK(cfg *Config, lat time.Duration, class, truth int) {
+	r.ok++
+	cfg.noteRound()
+	r.latencies = append(r.latencies, lat)
+	r.trace.Classes = append(r.trace.Classes, class)
+	if class == truth {
+		r.correct++
 	}
+}
+
+// post posts a JSON body and decodes a 2xx answer into out. It returns the
+// HTTP status.
+func post(c *http.Client, url string, body []byte, out any) (int, error) {
 	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return 0, len(body), err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode < 300 {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, len(body), err
-		}
-		return resp.StatusCode, len(body), nil
+	if resp.StatusCode < 300 {
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, len(body), nil
+	return resp.StatusCode, nil
 }
 
 // PercentileMs returns the q-th latency percentile in milliseconds

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"origin/internal/comm"
+	"origin/internal/serve"
 	"origin/internal/synth"
 )
 
@@ -20,32 +21,104 @@ import (
 // contamination to a round or two while still re-sending nothing.
 const DefaultStreamHop = 32
 
-// FrameSource generates one user's deterministic stream-mode frame
-// sequence. It is the binary-uplink twin of Stream: frame k depends only on
-// (profile, seed, user index, k), and the encoded bytes are what both the
-// live client ships and the serial replay re-derives — the determinism
-// contract compares classification sequences produced from identical frame
-// bytes on both paths.
-//
-// Unlike Stream (whose windows are i.i.d. draws), a FrameSource owns one
-// synth.SensorStream per sensor, so consecutive frames of a sensor join
-// contiguously and the server-side sliding-window assembly sees a real
-// continuous signal.
-type FrameSource struct {
-	profile  *synth.Profile
-	timeline *synth.Timeline
-	cfg      *Config
-	sensors  [synth.NumLocations]sensorFrames
-	step     int
+// Signal is one wearer's continuous IMU signal on every sensor location —
+// the stream-signal generator behind both FrameSource and the scenario
+// engine's lineages. It owns one synth.SensorStream per sensor, so
+// consecutive frames of a sensor join contiguously and the server-side
+// sliding-window assembly sees a real continuous signal, plus each sensor's
+// next frame sequence number and whether its priming (full-window) frame
+// has gone out. Sensors report in a duty-cycled rotation: round k's j-th
+// of n reporters is (k·n+j) mod NumLocations. Not safe for concurrent use.
+type Signal struct {
+	streams [synth.NumLocations]*synth.SensorStream
+	seqs    [synth.NumLocations]int
+	primed  [synth.NumLocations]bool
+	hop     int
 }
 
-// sensorFrames is one sensor's stream progress: its continuous signal
-// source, the next frame sequence number, and whether the priming
-// (full-window) frame has been sent.
-type sensorFrames struct {
-	stream *synth.SensorStream
-	seq    int
-	primed bool
+// NewSignal builds wearer u's signal. Sensor s draws from seed+3+s, which
+// keeps the sensor streams disjoint from the timeline (seed), window
+// generator (seed+1), vote (seed+2) and backoff-jitter (seed+6) streams of
+// the same seed family. hop is the steady-state samples per stream frame.
+func NewSignal(profile *synth.Profile, u *synth.User, seed int64, hop int) *Signal {
+	sig := &Signal{hop: hop}
+	for s := range sig.streams {
+		sig.streams[s] = synth.NewSensorStream(profile, u, synth.Location(s), seed+3+int64(s))
+	}
+	return sig
+}
+
+// SetUser swaps the wearer's gait parameters on every sensor mid-stream
+// (gait drift) without perturbing any RNG schedule.
+func (sig *Signal) SetUser(u *synth.User) {
+	for _, st := range sig.streams {
+		st.SetUser(u)
+	}
+}
+
+// Frames returns round k's encoded (enveloped) IMU frames from n reporting
+// sensors, in send order, of activity truth. The last frame carries the
+// end-of-round flag. A sensor's first frame fills the server-side window
+// outright (there is no history to slide over yet); later ones carry hop
+// new samples.
+func (sig *Signal) Frames(k, n, truth int) ([]EncodedFrame, error) {
+	frames := make([]EncodedFrame, 0, n)
+	for j := 0; j < n; j++ {
+		sensorID := (k*n + j) % synth.NumLocations
+		count := sig.hop
+		if !sig.primed[sensorID] {
+			count = windowLen
+			sig.primed[sensorID] = true
+		}
+		seq := sig.seqs[sensorID]
+		enc, err := comm.EncodeIMU(nil, comm.IMUFrame{
+			Sensor: sensorID, Seq: seq, EndRound: j == n-1,
+			Samples: channelRows(sig.streams[sensorID].Next(truth, count, nil), count),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: encode frame (round %d sensor %d): %w", k, sensorID, err)
+		}
+		frames = append(frames, EncodedFrame{Sensor: sensorID, Seq: seq, End: j == n-1, Bytes: enc})
+		sig.seqs[sensorID]++
+	}
+	return frames, nil
+}
+
+// Windows returns round k's window-mode classify payload from n reporting
+// sensors: each ships a full window cut from its continuous stream (the
+// JSON front takes whole windows, so there is no priming or sequencing).
+func (sig *Signal) Windows(k, n, truth int) serve.ClassifyRequest {
+	var req serve.ClassifyRequest
+	for j := 0; j < n; j++ {
+		sensorID := (k*n + j) % synth.NumLocations
+		rows := channelRows(sig.streams[sensorID].Next(truth, windowLen, nil), windowLen)
+		req.Windows = append(req.Windows, serve.Window{Sensor: sensorID, Samples: rows})
+	}
+	return req
+}
+
+// channelRows splits a channel-major sample chunk into per-channel rows
+// (views, not copies).
+func channelRows(samples []float64, count int) [][]float64 {
+	rows := make([][]float64, synth.Channels)
+	for c := range rows {
+		rows[c] = samples[c*count : (c+1)*count]
+	}
+	return rows
+}
+
+// FrameSource generates one user's deterministic stream-mode frame
+// sequence: a Signal over a fixed activity timeline. It is the
+// binary-uplink twin of Stream: frame k depends only on (profile, seed, user
+// index, k), and the encoded bytes are what both the live client ships and
+// the serial replay re-derives — the determinism contract compares
+// classification sequences produced from identical frame bytes on both
+// paths.
+type FrameSource struct {
+	sig      *Signal
+	timeline *synth.Timeline
+	sensors  int
+	step     int
 }
 
 // NewFrameSource builds the i-th user's frame source. The seeding mirrors
@@ -54,17 +127,11 @@ type sensorFrames struct {
 // activity sequence.
 func NewFrameSource(cfg *Config, profile *synth.Profile, i int) *FrameSource {
 	seed := streamSeed(cfg.Seed, i)
-	tl := synth.GenerateTimeline(profile, synth.TimelineConfig{
-		Slots: cfg.Requests, MeanSegment: 40, MinSegment: 10, Seed: seed,
-	})
-	u := synth.NewUser(UserID(i))
-	fs := &FrameSource{profile: profile, timeline: tl, cfg: cfg}
-	for s := 0; s < synth.NumLocations; s++ {
-		// seed+3+s keeps the per-sensor RNG streams disjoint from the
-		// timeline (seed), generator (seed+1) and vote (seed+2) streams.
-		fs.sensors[s].stream = synth.NewSensorStream(profile, u, synth.Location(s), seed+3+int64(s))
+	return &FrameSource{
+		sig:      NewSignal(profile, synth.NewUser(UserID(i)), seed, cfg.StreamHop),
+		timeline: userTimeline(cfg, profile, seed),
+		sensors:  cfg.SensorsPerRequest,
 	}
-	return fs
 }
 
 // Truth returns the ground-truth activity of round k.
@@ -90,34 +157,7 @@ func (fs *FrameSource) Next(k int) ([]EncodedFrame, error) {
 		panic(fmt.Sprintf("loadgen: frame source stepped out of order: got %d want %d", k, fs.step))
 	}
 	fs.step++
-	truth := fs.timeline.PerSlot[k]
-	n := fs.cfg.SensorsPerRequest
-	frames := make([]EncodedFrame, 0, n)
-	for j := 0; j < n; j++ {
-		sensorID := (k*n + j) % synth.NumLocations
-		st := &fs.sensors[sensorID]
-		count := fs.cfg.StreamHop
-		if !st.primed {
-			// The first frame must fill the server-side window outright:
-			// there is no history to slide over yet.
-			count = windowLen
-			st.primed = true
-		}
-		samples := st.stream.Next(truth, count, nil)
-		rows := make([][]float64, synth.Channels)
-		for c := 0; c < synth.Channels; c++ {
-			rows[c] = samples[c*count : (c+1)*count]
-		}
-		enc, err := comm.EncodeIMU(nil, comm.IMUFrame{
-			Sensor: sensorID, Seq: st.seq, EndRound: j == n-1, Samples: rows,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: encode frame (round %d sensor %d): %w", k, sensorID, err)
-		}
-		frames = append(frames, EncodedFrame{Sensor: sensorID, Seq: st.seq, End: j == n-1, Bytes: enc})
-		st.seq++
-	}
-	return frames, nil
+	return fs.sig.Frames(k, fs.sensors, fs.timeline.PerSlot[k])
 }
 
 // Reconnect/backoff parameters: the base doubles per consecutive failure up
@@ -179,15 +219,9 @@ func NewStreamClient(addr, sessID string, label, reconnectMax int, jitterSeed in
 func (c *StreamClient) Stats() StreamStats { return c.stats }
 
 // Close drops the connection. The server-side session stays live (and
-// parkable); a later Round redials and resumes.
-func (c *StreamClient) Close() { c.closeConn() }
-
-// CycleConn is Close under its scenario name: dropping the connection
-// mid-day models a user roaming between networks, and the next Round's
-// reconnect exercises the park/resume path without any fault injection.
-func (c *StreamClient) CycleConn() { c.closeConn() }
-
-func (c *StreamClient) closeConn() {
+// parkable); a later Round redials and resumes — which is also how the
+// scenario engine models a user roaming between networks.
+func (c *StreamClient) Close() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn, c.br = nil, nil
@@ -269,16 +303,22 @@ func (c *StreamClient) dialAndHello() (ack comm.HelloAck, transient bool, err er
 	}
 }
 
-// Connect establishes the initial stream connection. The fresh hello-ack is
-// returned so the caller can check the session starts at slot 0.
-func (c *StreamClient) Connect() (comm.HelloAck, error) { return c.connect(true) }
+// Connect establishes the initial stream connection of a freshly created
+// session and fails unless the server starts it at slot 0.
+func (c *StreamClient) Connect() error {
+	ack, err := c.connect(true)
+	if err == nil && ack.NextSlot != 0 {
+		err = fmt.Errorf("loadgen: user %d: fresh session starts at slot %d", c.label, ack.NextSlot)
+	}
+	return err
+}
 
 // connect establishes (or re-establishes) the stream connection with seeded
 // jittered exponential backoff, bounded by reconnectMax consecutive failed
 // attempts. On reconnects, time from entry to a completed handshake accrues
 // as downtime; initial session setup is not an outage and never counts.
 func (c *StreamClient) connect(initial bool) (comm.HelloAck, error) {
-	c.closeConn()
+	c.Close()
 	t0 := time.Now()
 	defer func() {
 		if !initial {
@@ -352,13 +392,13 @@ func (c *StreamClient) Round(k int, frames []EncodedFrame) (int, error) {
 			}
 		}
 		if err := c.sendFrames(send); err != nil {
-			c.closeConn()
+			c.Close()
 			continue
 		}
 		class, transient, err := c.awaitResult(k)
 		if err != nil {
 			if transient {
-				c.closeConn()
+				c.Close()
 				continue
 			}
 			return 0, err
@@ -425,16 +465,15 @@ func runStreamUser(cfg *Config, profile *synth.Profile, i int) (r userResult) {
 		r.err = err
 		return r
 	}
-	created, err := createSession(cfg, i)
+	id, err := CreateSession(cfg.Client, cfg.BaseURL, cfg.createRequest(i))
 	if err != nil {
 		return fail(err)
 	}
-	r.trace = SessionTrace{User: UserID(i), ID: created.ID}
+	r.trace = SessionTrace{User: UserID(i), ID: id}
 
 	// seed+6 keeps the jitter stream disjoint from the timeline (seed),
 	// generator (seed+1), vote (seed+2) and sensor (seed+3..5) streams.
-	sc := NewStreamClient(cfg.StreamAddr, created.ID, i, cfg.ReconnectMax,
-		streamSeed(cfg.Seed, i)+6)
+	sc := NewStreamClient(cfg.StreamAddr, id, i, cfg.ReconnectMax, streamSeed(cfg.Seed, i)+6)
 	defer sc.Close()
 	defer func() {
 		st := sc.Stats()
@@ -445,19 +484,12 @@ func runStreamUser(cfg *Config, profile *synth.Profile, i int) (r userResult) {
 		r.doubleClassifies += st.DoubleClassifies
 		r.downtime += st.Downtime
 	}()
-	ack, err := sc.Connect()
-	if err != nil {
+	if err := sc.Connect(); err != nil {
 		return fail(err)
-	}
-	if ack.NextSlot != 0 {
-		return fail(fmt.Errorf("loadgen: user %d: fresh session starts at slot %d", i, ack.NextSlot))
 	}
 
 	fs := NewFrameSource(cfg, profile, i)
 	for k := 0; k < cfg.Requests; k++ {
-		if k > 0 && cfg.Gap > 0 {
-			time.Sleep(cfg.Gap)
-		}
 		frames, err := fs.Next(k)
 		if err != nil {
 			return fail(err)
@@ -468,14 +500,7 @@ func runStreamUser(cfg *Config, profile *synth.Profile, i int) (r userResult) {
 		if err != nil {
 			return fail(err)
 		}
-		lat := time.Since(t0)
-		r.ok++
-		cfg.noteRound()
-		r.latencies = append(r.latencies, lat)
-		r.trace.Classes = append(r.trace.Classes, class)
-		if class == fs.Truth(k) {
-			r.correct++
-		}
+		r.noteOK(cfg, time.Since(t0), class, fs.Truth(k))
 	}
 	return r
 }

@@ -57,9 +57,13 @@ type SLOPhase struct {
 	ColdStarts int `json:"coldStarts"`
 	Retired    int `json:"retired"`
 	Drifted    int `json:"drifted"`
-	// Chaos/Pressure record whether a fault or pressure window was open.
-	Chaos    bool `json:"chaos"`
-	Pressure bool `json:"pressure"`
+	// Chaos/Pressure record whether a fault or pressure window was open;
+	// ShardOps lists the shard-topology ops planned at phase entry ("kill",
+	// "leave", "join"; omitted when none). They are the plan, not what ran:
+	// slo-verify holds the measured half to them.
+	Chaos    bool     `json:"chaos"`
+	Pressure bool     `json:"pressure"`
+	ShardOps []string `json:"shardOps,omitempty"`
 	// Correct/Accuracy are the phase's classification outcome against
 	// ground truth (deterministic: sequences are pure functions of inputs).
 	Correct  int     `json:"correct"`
@@ -114,10 +118,12 @@ type SLOMeasured struct {
 	ResumeSuccessRate float64 `json:"resumeSuccessRate"`
 	Availability      float64 `json:"availability"`
 	ShedRate          float64 `json:"shedRate"`
-	// Shard topology tallies (sharded runs only; zero on single-node days).
-	// They live in the measured half because which sessions migrate depends
-	// on wall-clock timing — the canonical section stays topology-blind by
-	// construction, which is exactly the property the shard gate asserts.
+	// Shard topology tallies (sharded runs only; zero on single-node days):
+	// executed kills (graceful leaves included) and joins, and sessions
+	// resumed across a shard boundary. They live in the measured half
+	// because which sessions migrate depends on wall-clock timing — the
+	// canonical section stays topology-blind by construction, which is
+	// exactly the property the pair gate asserts.
 	ShardKills      int                `json:"shardKills,omitempty"`
 	ShardJoins      int                `json:"shardJoins,omitempty"`
 	MigratedResumes int64              `json:"migratedResumes,omitempty"`

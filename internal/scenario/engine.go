@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -132,7 +130,7 @@ func Run(spec *Spec, h Handles) (*Result, error) {
 			}
 		}
 	}
-	profile, err := profileByName(spec.Profile)
+	profile, err := loadgen.ProfileByName(spec.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +187,7 @@ func Run(spec *Spec, h Handles) (*Result, error) {
 			l := e.lins[idx]
 			l.gen.enterPhase(p)
 			if ph.CycleConns && l.client != nil {
-				l.client.CycleConn()
+				l.client.Close()
 			}
 		}
 
@@ -298,26 +296,21 @@ func Run(spec *Spec, h Handles) (*Result, error) {
 }
 
 // coldStart creates the server-side session (and, on the stream front, the
-// persistent connection) for a lineage born at phase p.
+// persistent connection) for a lineage born at phase p, through the same
+// loadgen calls a loadgen user makes.
 func (e *engine) coldStart(lp lineagePlan, profile *synth.Profile, p int) (*liveLineage, error) {
-	var created serve.CreateSessionResponse
-	status, err := postJSON(e.h.Client, e.h.BaseURL+"/v1/sessions",
-		serve.CreateSessionRequest{Profile: e.spec.Profile, User: lp.Wearer}, &created)
-	if err != nil || status != http.StatusCreated {
-		return nil, fmt.Errorf("scenario: lineage %d create session: status %d err %v", lp.Index, status, err)
+	id, err := loadgen.CreateSession(e.h.Client, e.h.BaseURL,
+		serve.CreateSessionRequest{Profile: e.spec.Profile, User: lp.Wearer})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: lineage %d: %w", lp.Index, err)
 	}
-	l := &liveLineage{lp: lp, gen: newLineageGen(e.spec, profile, lp), sessID: created.ID}
+	l := &liveLineage{lp: lp, gen: newLineageGen(e.spec, profile, lp), sessID: id}
 	l.gen.enterPhase(p)
 	if lp.Stream {
 		// lp.Seed+6 mirrors loadgen's backoff jitter stream.
-		l.client = loadgen.NewStreamClient(e.h.StreamAddr, created.ID, lp.Index,
-			e.spec.ReconnectMax, lp.Seed+6)
-		ack, err := l.client.Connect()
-		if err != nil {
+		l.client = loadgen.NewStreamClient(e.h.StreamAddr, id, lp.Index, e.spec.ReconnectMax, lp.Seed+6)
+		if err := l.client.Connect(); err != nil {
 			return nil, fmt.Errorf("scenario: lineage %d: %w", lp.Index, err)
-		}
-		if ack.NextSlot != 0 {
-			return nil, fmt.Errorf("scenario: lineage %d: fresh session starts at slot %d", lp.Index, ack.NextSlot)
 		}
 	}
 	return l, nil
@@ -403,13 +396,7 @@ func (e *engine) runPhase(l *liveLineage, ph *Phase) {
 			time.Sleep(gap)
 		}
 		truth := l.gen.truth()
-		var class int
-		var err error
-		if l.client != nil {
-			class, err = e.streamRound(l)
-		} else {
-			class, err = e.httpRound(l)
-		}
+		class, err := e.round(l)
 		if err != nil {
 			l.err = err
 			return
@@ -422,9 +409,20 @@ func (e *engine) runPhase(l *liveLineage, ph *Phase) {
 	}
 }
 
-// streamRound ships one round over the binary front.
-func (e *engine) streamRound(l *liveLineage) (int, error) {
+// round ships the lineage's next round over its front: frames on the
+// binary stream, or a window-mode classify request over HTTP, resent after
+// every shed (429) answer.
+func (e *engine) round(l *liveLineage) (int, error) {
 	slot := l.gen.slot()
+	if l.client == nil {
+		rr, err := loadgen.PostRound(e.h.Client, e.h.BaseURL, l.sessID, l.gen.request())
+		l.shed += rr.Shed
+		if err != nil {
+			return 0, fmt.Errorf("scenario: lineage %d round %d: %w", l.lp.Index, slot, err)
+		}
+		l.latencies = append(l.latencies, rr.Latency)
+		return rr.Class, nil
+	}
 	frames, err := l.gen.frames()
 	if err != nil {
 		return 0, err
@@ -436,48 +434,4 @@ func (e *engine) streamRound(l *liveLineage) (int, error) {
 	}
 	l.latencies = append(l.latencies, time.Since(t0))
 	return class, nil
-}
-
-// httpRound ships one round over the JSON front, retrying shed (429)
-// rounds with linear backoff so the session always sees the complete,
-// ordered stream — the same discipline as the loadgen HTTP user.
-func (e *engine) httpRound(l *liveLineage) (int, error) {
-	req := l.gen.request()
-	url := e.h.BaseURL + "/v1/sessions/" + l.sessID + "/classify"
-	for attempt := 0; ; attempt++ {
-		var res serve.ClassifyResponse
-		t0 := time.Now()
-		status, err := postJSON(e.h.Client, url, req, &res)
-		if err != nil {
-			return 0, fmt.Errorf("scenario: lineage %d round %d: %v", l.lp.Index, l.gen.slot()-1, err)
-		}
-		if status == http.StatusTooManyRequests {
-			l.shed++
-			time.Sleep(time.Duration(1+attempt) * 2 * time.Millisecond)
-			continue
-		}
-		if status != http.StatusOK {
-			return 0, fmt.Errorf("scenario: lineage %d round %d: status %d", l.lp.Index, l.gen.slot()-1, status)
-		}
-		l.latencies = append(l.latencies, time.Since(t0))
-		return res.Class, nil
-	}
-}
-
-// postJSON posts v as JSON and decodes a 2xx body into out.
-func postJSON(c *http.Client, url string, v, out any) (int, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode < 300 {
-		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
 }

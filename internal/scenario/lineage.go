@@ -1,10 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
-	"origin/internal/comm"
-	"origin/internal/experiments"
 	"origin/internal/loadgen"
 	"origin/internal/serve"
 	"origin/internal/synth"
@@ -17,35 +13,30 @@ import (
 // shedding nor concurrency ever touches it, which is what makes live runs
 // replayable.
 //
-// The per-sensor signal is one continuous synth.SensorStream per location,
-// integrating gait phase across rounds AND phases; drift swaps the wearer's
-// gait parameters mid-stream (SensorStream.SetUser) without perturbing the
-// RNG schedule. Sensors report in the loadgen rotation — round k's j-th
-// reporter is (k·n + j) mod NumLocations with k counted from lineage birth.
+// The signal is loadgen's stream-signal generator, integrating gait phase
+// across rounds AND phases with round k counted from lineage birth; on top
+// of it a lineage keeps only what a day adds: per-phase truth timelines and
+// gait drift, which swaps the wearer's gait parameters mid-stream without
+// perturbing the RNG schedule.
 type lineageGen struct {
 	spec    *Spec
 	profile *synth.Profile
 	lp      lineagePlan
 
-	user    *synth.User
-	streams [synth.NumLocations]*synth.SensorStream
-	seqs    [synth.NumLocations]int
-	primed  [synth.NumLocations]bool
+	user *synth.User
+	sig  *loadgen.Signal
 
 	tl         *synth.Timeline // current phase's truth timeline
 	round      int             // rounds completed since birth (the stream slot index)
 	phaseRound int             // rounds completed in the current phase
-	drifted    bool            // true once the first drift epoch has applied
 }
 
 func newLineageGen(spec *Spec, profile *synth.Profile, lp lineagePlan) *lineageGen {
-	g := &lineageGen{spec: spec, profile: profile, lp: lp, user: synth.NewUser(lp.Wearer)}
-	for s := 0; s < synth.NumLocations; s++ {
-		// lp.Seed+3+s mirrors loadgen's sensor-stream seed layout, disjoint
-		// from the transport draw (+1) and backoff jitter (+6).
-		g.streams[s] = synth.NewSensorStream(profile, g.user, synth.Location(s), lp.Seed+3+int64(s))
+	u := synth.NewUser(lp.Wearer)
+	return &lineageGen{
+		spec: spec, profile: profile, lp: lp, user: u,
+		sig: loadgen.NewSignal(profile, u, lp.Seed, spec.StreamHop),
 	}
-	return g
 }
 
 // enterPhase applies phase-entry drift (never at the birth phase — a fresh
@@ -54,10 +45,7 @@ func (g *lineageGen) enterPhase(p int) {
 	ph := &g.spec.Phases[p]
 	if p > g.lp.Born && ph.Drift > 0 {
 		g.user = g.user.Drifted(int64(p), ph.Drift)
-		for _, st := range g.streams {
-			st.SetUser(g.user)
-		}
-		g.drifted = true
+		g.sig.SetUser(g.user)
 	}
 	seed := g.lp.Seed + 1_000_003*int64(p+1)
 	if ph.Mix == nil {
@@ -91,52 +79,15 @@ func (g *lineageGen) advance() {
 // returned slice — resume re-sends reuse these exact bytes, so a disconnect
 // never re-invokes the generator.
 func (g *lineageGen) frames() ([]loadgen.EncodedFrame, error) {
-	truth := g.truth()
-	n := g.spec.SensorsPerRound
-	frames := make([]loadgen.EncodedFrame, 0, n)
-	for j := 0; j < n; j++ {
-		sensorID := (g.round*n + j) % synth.NumLocations
-		count := g.spec.StreamHop
-		if !g.primed[sensorID] {
-			// The sensor's first frame must fill the server-side window.
-			count = experiments.Window
-			g.primed[sensorID] = true
-		}
-		samples := g.streams[sensorID].Next(truth, count, nil)
-		rows := make([][]float64, synth.Channels)
-		for c := 0; c < synth.Channels; c++ {
-			rows[c] = samples[c*count : (c+1)*count]
-		}
-		enc, err := comm.EncodeIMU(nil, comm.IMUFrame{
-			Sensor: sensorID, Seq: g.seqs[sensorID], EndRound: j == n-1, Samples: rows,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: lineage %d round %d: encode frame: %w", g.lp.Index, g.round, err)
-		}
-		frames = append(frames, loadgen.EncodedFrame{
-			Sensor: sensorID, Seq: g.seqs[sensorID], End: j == n-1, Bytes: enc,
-		})
-		g.seqs[sensorID]++
-	}
+	frames, err := g.sig.Frames(g.round, g.spec.SensorsPerRound, g.truth())
 	g.advance()
-	return frames, nil
+	return frames, err
 }
 
 // request builds the current round's HTTP classify payload (window mode:
 // each reporting sensor ships a full window of its continuous stream).
 func (g *lineageGen) request() serve.ClassifyRequest {
-	truth := g.truth()
-	n := g.spec.SensorsPerRound
-	var req serve.ClassifyRequest
-	for j := 0; j < n; j++ {
-		sensorID := (g.round*n + j) % synth.NumLocations
-		samples := g.streams[sensorID].Next(truth, experiments.Window, nil)
-		rows := make([][]float64, synth.Channels)
-		for c := 0; c < synth.Channels; c++ {
-			rows[c] = samples[c*experiments.Window : (c+1)*experiments.Window]
-		}
-		req.Windows = append(req.Windows, serve.Window{Sensor: sensorID, Samples: rows})
-	}
+	req := g.sig.Windows(g.round, g.spec.SensorsPerRound, g.truth())
 	g.advance()
 	return req
 }

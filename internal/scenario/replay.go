@@ -5,6 +5,7 @@ import (
 
 	"origin/internal/comm"
 	"origin/internal/fleet"
+	"origin/internal/loadgen"
 	"origin/internal/serve"
 )
 
@@ -21,7 +22,7 @@ func SerialReplay(spec *Spec, newModel func(profile string) (*fleet.Model, error
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	profile, err := profileByName(spec.Profile)
+	profile, err := loadgen.ProfileByName(spec.Profile)
 	if err != nil {
 		return nil, err
 	}

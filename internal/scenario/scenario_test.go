@@ -183,3 +183,22 @@ func TestRunHandleValidation(t *testing.T) {
 		t.Error("chaos day accepted without a chaos handle")
 	}
 }
+
+// prop: the committed connection-chaos drill (make verify-chaos) stays a
+// drill — every lineage on the stream front, every phase under a
+// kill-everything chaos window — so an edit cannot quietly make the CI
+// verdict vacuous.
+func TestChaosDrillSpec(t *testing.T) {
+	spec, err := scenario.LoadSpec("testdata/chaos_drill.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.StreamFraction != 1 {
+		t.Errorf("drill stream fraction %v, want 1 (stream-only)", spec.StreamFraction)
+	}
+	for _, ph := range spec.Phases {
+		if ph.Chaos == nil || ph.Chaos.KillRate != 1 {
+			t.Errorf("drill phase %q has no kill-rate-1 chaos window: %+v", ph.Name, ph.Chaos)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package scenario is the fleet-scale scenario engine: it composes the
 // repo's synthetic wearers (internal/synth), deterministic faults
 // (internal/fault), serving stack (internal/fleet + internal/serve) and
-// stream client (internal/loadgen) into a compressed "simulated day" — a
+// stream-signal generator and round clients (internal/loadgen) into a compressed "simulated day" — a
 // seeded, declarative sequence of phases with diurnal population and
 // activity-mix curves, user churn, per-wearer gait drift, and mid-run fault
 // and pressure windows — and emits a typed SLO report (internal/obs).
@@ -19,7 +19,7 @@
 // RNG stream layout (all disjoint by construction): lineage L draws its
 // private seed family from base = Spec.Seed + 7919·L + 13; base+1 decides
 // HTTP-vs-stream transport, base+3+s seeds sensor s's continuous signal
-// (mirroring loadgen's layout), base+6 seeds reconnect backoff jitter, and
+// (loadgen.NewSignal's layout), base+6 seeds reconnect backoff jitter, and
 // base + 1_000_003·(p+1) seeds the phase-p truth timeline. Fault windows
 // derive per-phase chaos seeds as Spec.Seed + 1009·(p+1); gait drift derives
 // from (wearer id, phase) inside synth.User.Drifted.
@@ -162,19 +162,6 @@ type Spec struct {
 	Phases          []Phase `json:"phases"`
 }
 
-// profileByName resolves the served profiles (scenario's own copy; the
-// loadgen one is unexported).
-func profileByName(name string) (*synth.Profile, error) {
-	switch name {
-	case "MHEALTH":
-		return synth.MHEALTHProfile(), nil
-	case "PAMAP2":
-		return synth.PAMAP2Profile(), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown profile %q", name)
-	}
-}
-
 // Validate normalises defaults in place and reports the first invalid
 // field. It is called by Run and SerialReplay; call it directly after
 // assembling a Spec by hand.
@@ -182,7 +169,7 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
-	p, err := profileByName(s.Profile)
+	p, err := loadgen.ProfileByName(s.Profile)
 	if err != nil {
 		return err
 	}
@@ -338,7 +325,7 @@ func mixFor(p *synth.Profile, weights map[string]float64) []float64 {
 // exercising every axis (population curve, mix curve, churn, drift, forced
 // shed, kill-everything chaos, resume).
 func DayScenario(profileName string, seed int64) (*Spec, error) {
-	p, err := profileByName(profileName)
+	p, err := loadgen.ProfileByName(profileName)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +378,7 @@ func CalmScenario(profileName string, seed int64) (*Spec, error) {
 			{Name: "evening", Users: 3, Rounds: 8, Churn: 2, CycleConns: true},
 		},
 	}
-	if _, err := profileByName(profileName); err != nil {
+	if _, err := loadgen.ProfileByName(profileName); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
@@ -409,7 +396,7 @@ func CalmScenario(profileName string, seed int64) (*Spec, error) {
 // against a cluster of at least two replicas (three in CI, so a kill still
 // leaves a quorum of survivors to rebalance across).
 func ShardScenario(profileName string, seed int64) (*Spec, error) {
-	if _, err := profileByName(profileName); err != nil {
+	if _, err := loadgen.ProfileByName(profileName); err != nil {
 		return nil, err
 	}
 	s := &Spec{
