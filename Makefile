@@ -4,7 +4,7 @@ GO ?= go
 # the pipe would swallow a failing gate's exit status.
 SHELL = /bin/bash -o pipefail
 
-.PHONY: build test coverage bench bench-forward bench-serve verify-bench verify-bench-serve verify-chaos verify-scenario verify-shard verify-obs verify-fault verify-serve fuzz-smoke lint
+.PHONY: build test coverage bench bench-forward bench-serve verify-bench verify-bench-serve verify-chaos verify-scenario verify-shard verify-obs verify-fault verify-serve fuzz-smoke lint loc
 
 BENCH_FORWARD = -run '^$$' -bench 'BenchmarkForward|BenchmarkKernelReference' \
 	-benchtime 1s -count 5 . ./internal/tensor
@@ -138,6 +138,13 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
+
+# Lines of Go, non-test and test, outside the benchmark harness and its
+# build directory: the figures a change that simplifies reports its delta in.
+LOC_FIND = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
 
 # Focused verification for the telemetry/concurrency layers: vet everything,
 # then race-test the packages the run telemetry and worker pool touch.

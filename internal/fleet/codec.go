@@ -39,14 +39,39 @@ const (
 	maxAttachment     = 1 << 22
 )
 
-// SessionCounters are the serving telemetry counters that migrate with a
-// session (the subset of obs.Telemetry a serving session mutates).
+// SessionCounters are the serving telemetry counters a session keeps and
+// migrates with it: rounds served, the fresh and recalled votes that entered
+// them, online confidence-matrix updates and quorum abstentions. A session's
+// host device records into them through *SessionCounters (a host.Tally).
 type SessionCounters struct {
 	Slots             int `json:"slots"`
 	FreshVotes        int `json:"freshVotes"`
 	RecallVotes       int `json:"recallVotes"`
 	AdaptationUpdates int `json:"adaptationUpdates"`
 	QuorumAbstentions int `json:"quorumAbstentions"`
+}
+
+// NoteVotes records one round's fresh and recalled votes (host.Tally).
+func (c *SessionCounters) NoteVotes(fresh, recalled int) {
+	c.FreshVotes += fresh
+	c.RecallVotes += recalled
+}
+
+// NoteQuorumAbstention records one abstained round (host.Tally).
+func (c *SessionCounters) NoteQuorumAbstention() { c.QuorumAbstentions++ }
+
+// NoteAdaptations records n confidence-matrix updates (host.Tally).
+func (c *SessionCounters) NoteAdaptations(n int) { c.AdaptationUpdates += n }
+
+// minus returns the counts c gained since o.
+func (c SessionCounters) minus(o SessionCounters) SessionCounters {
+	return SessionCounters{
+		Slots:             c.Slots - o.Slots,
+		FreshVotes:        c.FreshVotes - o.FreshVotes,
+		RecallVotes:       c.RecallVotes - o.RecallVotes,
+		AdaptationUpdates: c.AdaptationUpdates - o.AdaptationUpdates,
+		QuorumAbstentions: c.QuorumAbstentions - o.QuorumAbstentions,
+	}
 }
 
 // SessionState is the portable snapshot of one serving session.

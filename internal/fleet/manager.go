@@ -92,6 +92,31 @@ type Metrics struct {
 	SessionsRestored atomic.Int64
 }
 
+// roundCounters are the process-wide SessionCounters: what every round this
+// manager classified added to its session's counters, summed on the classify
+// path so a /metrics scrape reads them without visiting a session.
+type roundCounters struct {
+	slots, fresh, recall, adapts, abstentions atomic.Int64
+}
+
+func (rc *roundCounters) add(d SessionCounters) {
+	rc.slots.Add(int64(d.Slots))
+	rc.fresh.Add(int64(d.FreshVotes))
+	rc.recall.Add(int64(d.RecallVotes))
+	rc.adapts.Add(int64(d.AdaptationUpdates))
+	rc.abstentions.Add(int64(d.QuorumAbstentions))
+}
+
+func (rc *roundCounters) load() SessionCounters {
+	return SessionCounters{
+		Slots:             int(rc.slots.Load()),
+		FreshVotes:        int(rc.fresh.Load()),
+		RecallVotes:       int(rc.recall.Load()),
+		AdaptationUpdates: int(rc.adapts.Load()),
+		QuorumAbstentions: int(rc.abstentions.Load()),
+	}
+}
+
 // noteBatch records one micro-batched forward pass of n windows.
 func (mt *Metrics) noteBatch(n int) {
 	mt.WindowsBatched.Add(int64(n))
@@ -124,7 +149,9 @@ type shard struct {
 
 // Manager is the fleet session service: a sharded session map with LRU/TTL
 // eviction over a shared model registry, plus the bounded classification
-// queue. It is safe for concurrent use.
+// queue. It is safe for concurrent use. Lock order is shard, then session:
+// install reads a held session's slot under the shard lock, and no path takes
+// a shard lock while holding a session lock.
 type Manager struct {
 	cfg      Config
 	reg      *Registry
@@ -132,6 +159,7 @@ type Manager struct {
 	queue    *queue
 	batchers *modelBatchers // nil when micro-batching is disabled
 	metrics  Metrics
+	rounds   roundCounters
 	active   atomic.Int64
 	nextID   atomic.Int64
 	shutdown atomic.Bool
@@ -140,9 +168,6 @@ type Manager struct {
 	pressureDelayNs   atomic.Int64
 	pressureShedEvery atomic.Int64
 	pressureCounter   atomic.Int64
-
-	retiredMu sync.Mutex
-	retired   obs.Telemetry // telemetry of evicted/closed sessions
 }
 
 // Pressure is a serve-side stress window a scenario driver can open and
@@ -267,9 +292,6 @@ func (m *Manager) CreateWithID(id, profile string, user int64, o Opts) (*Session
 	if id == "" || len(id) > 64 {
 		return nil, fmt.Errorf("%w: session id must be 1..64 bytes", ErrInvalid)
 	}
-	if _, err := m.getLocal(id); err == nil {
-		return nil, ErrExists
-	}
 	if m.cfg.State != nil {
 		if _, _, ok, err := m.cfg.State.Load(id); err != nil {
 			return nil, err
@@ -291,7 +313,9 @@ func (m *Manager) createSession(id, profile string, user int64, o Opts) (*Sessio
 	if err != nil {
 		return nil, err
 	}
-	m.install(s, false)
+	if _, err := m.install(s, false); err != nil {
+		return nil, err
+	}
 	m.metrics.SessionsCreated.Add(1)
 	// Persist the slot-0 snapshot so the session is adoptable by another
 	// replica even if this one dies before the first classified round.
@@ -329,21 +353,28 @@ func (m *Manager) newServed(profile string, build func(*Model) (*Session, error)
 	return s, nil
 }
 
-// install links a session into its shard (evicting to make room). replace
-// unlinks any same-id session WITHOUT retiring its telemetry — the incoming
-// session's restored counters already include everything the replaced stale
-// cache entry counted, so merging would double-count.
-func (m *Manager) install(s *Session, replace bool) {
+// install links a session into its shard (evicting to make room) and
+// returns the session that now serves its id. The shard lock makes the
+// check and the link one step. A create refuses an id the shard already
+// holds with ErrExists. A restore replaces an entry behind the snapshot's
+// slot (a stale cache left while another replica served the session) but
+// keeps and returns one at or past it: a concurrent restore, or a round
+// served since the snapshot was loaded, got there first.
+func (m *Manager) install(s *Session, restore bool) (*Session, error) {
 	now := m.cfg.Now().UnixNano()
 	sh := m.shardFor(s.id)
 	sh.mu.Lock()
-	if replace {
-		if old, ok := sh.sessions[s.id]; ok {
-			delete(sh.sessions, old.id)
-			sh.order.Remove(old.lru)
-			old.lru = nil
-			m.active.Add(-1)
+	defer sh.mu.Unlock()
+	if old, ok := sh.sessions[s.id]; ok {
+		if !restore {
+			return nil, ErrExists
 		}
+		if old.Slot() >= s.slot {
+			old.lastUsed = now
+			sh.order.MoveToFront(old.lru)
+			return old, nil
+		}
+		m.removeLocked(sh, old)
 	}
 	m.evictExpiredLocked(sh, now)
 	for len(sh.sessions) >= m.perShardCap() {
@@ -352,8 +383,8 @@ func (m *Manager) install(s *Session, replace bool) {
 	s.lastUsed = now
 	s.lru = sh.order.PushFront(s)
 	sh.sessions[s.id] = s
-	sh.mu.Unlock()
 	m.active.Add(1)
+	return s, nil
 }
 
 // getLocal returns a session from this replica's memory only, refreshing its
@@ -398,7 +429,8 @@ func (m *Manager) Get(id string) (*Session, error) {
 }
 
 // restore rebuilds session id from a stored snapshot and installs it,
-// replacing any stale local copy.
+// replacing any stale local copy. Only a session it installs counts as
+// restored.
 func (m *Manager) restore(id string, blob []byte) (*Session, error) {
 	if m.shutdown.Load() {
 		return nil, ErrShutdown
@@ -413,9 +445,11 @@ func (m *Manager) restore(id string, blob []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.install(s, true)
-	m.metrics.SessionsRestored.Add(1)
-	return s, nil
+	live, _ := m.install(s, true) // only a create can conflict
+	if live == s {
+		m.metrics.SessionsRestored.Add(1)
+	}
+	return live, nil
 }
 
 // PersistSession writes the session's current snapshot (core state plus the
@@ -480,8 +514,8 @@ func decodeStoredState(id string, blob []byte) (SessionState, error) {
 // HasStore reports whether session state is externalized.
 func (m *Manager) HasStore() bool { return m.cfg.State != nil }
 
-// Delete closes a session explicitly, retiring its telemetry and removing
-// its stored snapshot (so no replica can resurrect it).
+// Delete closes a session explicitly and removes its stored snapshot (so no
+// replica can resurrect it).
 func (m *Manager) Delete(id string) error {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
@@ -511,17 +545,12 @@ func (m *Manager) Delete(id string) error {
 	return nil
 }
 
-// removeLocked unlinks a session from its shard and folds its telemetry
-// into the retired aggregate. Callers hold sh.mu.
+// removeLocked unlinks a session from its shard. Callers hold sh.mu.
 func (m *Manager) removeLocked(sh *shard, s *Session) {
 	delete(sh.sessions, s.id)
 	sh.order.Remove(s.lru)
 	s.lru = nil
 	m.active.Add(-1)
-	tel := s.Telemetry()
-	m.retiredMu.Lock()
-	m.retired.Merge(&tel)
-	m.retiredMu.Unlock()
 }
 
 // evictLRULocked evicts the shard's least-recently-used session.
@@ -589,7 +618,8 @@ func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput)
 		if d := m.pressureDelayNs.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
-		res, err := s.Classify(inputs)
+		res, d, err := s.classify(inputs)
+		m.rounds.add(d)
 		m.metrics.RequestsDone.Add(1)
 		done <- outcome{res, err}
 	}) {
@@ -630,26 +660,10 @@ func (m *Manager) Snapshot() MetricsSnapshot {
 	}
 }
 
-// Telemetry returns the aggregated ensemble telemetry: retired sessions
-// plus a snapshot of every live one.
-func (m *Manager) Telemetry() obs.Telemetry {
-	m.retiredMu.Lock()
-	agg := m.retired
-	m.retiredMu.Unlock()
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		live := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			live = append(live, s)
-		}
-		sh.mu.Unlock()
-		for _, s := range live {
-			tel := s.Telemetry()
-			agg.Merge(&tel)
-		}
-	}
-	return agg
-}
+// Telemetry returns what the rounds this manager classified since it
+// started added to their sessions' counters. Counts a migrated session
+// brought with it stay in that session's State; they are not this process's.
+func (m *Manager) Telemetry() SessionCounters { return m.rounds.load() }
 
 // Close stops accepting new sessions and classifications, drains every
 // queued job (accepted work completes), and waits for the workers to

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -200,6 +201,90 @@ func TestManagerTelemetryRetires(t *testing.T) {
 	if after.FreshVotes != before.FreshVotes || after.AdaptationUpdates != before.AdaptationUpdates {
 		t.Errorf("telemetry lost on delete: before fresh=%d adapts=%d, after fresh=%d adapts=%d",
 			before.FreshVotes, before.AdaptationUpdates, after.FreshVotes, after.AdaptationUpdates)
+	}
+}
+
+// prop: concurrent CreateWithID calls for one id admit exactly one creator,
+// with or without a state store, and leave exactly one live session. A
+// second install must never overwrite the map entry: the first session
+// would stay in the LRU list, and evicting it would unlink the live one.
+func TestManagerConcurrentCreateWithID(t *testing.T) {
+	reg := tinyRegistry()
+	for _, store := range []bool{false, true} {
+		for it := 0; it < 200; it++ {
+			cfg := Config{Registry: reg, Workers: 1}
+			if store {
+				cfg.State = NewMemStateStore()
+			}
+			m := NewManager(cfg)
+			var created atomic.Int32
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					_, err := m.CreateWithID("dup", "MHEALTH", 1, Opts{})
+					switch {
+					case err == nil:
+						created.Add(1)
+					case !errors.Is(err, ErrExists):
+						t.Errorf("create: %v", err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			m.Close()
+			if created.Load() != 1 || m.ActiveSessions() != 1 {
+				t.Fatalf("store=%v iteration %d: %d creates succeeded and %d sessions live, want 1 and 1",
+					store, it, created.Load(), m.ActiveSessions())
+			}
+		}
+	}
+}
+
+// prop: concurrent rounds on a replica that holds a session only in the
+// state store restore it once and serialise on that one session, so every
+// round gets its own slot; none is lost to a second restored copy.
+func TestManagerConcurrentColdRestore(t *testing.T) {
+	st := NewMemStateStore()
+	reg := tinyRegistry()
+	a := NewManager(Config{Registry: reg, Workers: 1, State: st})
+	defer a.Close()
+	if _, err := a.CreateWithID("cold", "MHEALTH", 1, Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	driveRound(t, a, "cold", 0)
+	for it := 0; it < 200; it++ {
+		b := NewManager(Config{Registry: reg, Workers: 4, State: st})
+		slots := make([]int, 4)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range slots {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res, err := b.Classify(context.Background(), "cold", roundInputs(g))
+				if err != nil {
+					t.Errorf("classify: %v", err)
+				}
+				slots[g] = res.Slot
+			}()
+		}
+		close(start)
+		wg.Wait()
+		b.Close()
+		seen := map[int]bool{}
+		for _, s := range slots {
+			seen[s] = true
+		}
+		if len(seen) != len(slots) || b.Snapshot().SessionsRestored != 1 {
+			t.Fatalf("iteration %d: slots %v, %d restores; want 4 distinct slots and 1 restore",
+				it, slots, b.Snapshot().SessionsRestored)
+		}
 	}
 }
 

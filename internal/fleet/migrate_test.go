@@ -87,17 +87,16 @@ func TestManagerMigration(t *testing.T) {
 		}
 	}
 
-	// Telemetry travelled: B's view of the session includes A's rounds.
-	tel := s.Telemetry()
-	if tel.Slots != 12 {
-		t.Fatalf("migrated telemetry slots = %d, want 12", tel.Slots)
+	// The counters travelled: B's view of the session includes A's rounds.
+	if c := s.State(nil).Counters; c.Slots != 12 {
+		t.Fatalf("migrated counter slots = %d, want 12", c.Slots)
 	}
 }
 
 // TestManagerStaleCacheRefresh proves local memory is only a cache: when the
 // store advances past a replica's in-memory copy (another replica served
-// rounds in between), Get discards the stale copy and restores — without
-// double-counting the stale copy's telemetry.
+// rounds in between), Get discards the stale copy and restores it — and each
+// round is counted once fleet-wide, by the replica that served it.
 func TestManagerStaleCacheRefresh(t *testing.T) {
 	a, b, _ := storePair(t)
 	if _, err := a.CreateWithID("x", "MHEALTH", 1, Opts{}); err != nil {
@@ -120,10 +119,57 @@ func TestManagerStaleCacheRefresh(t *testing.T) {
 	if s.Slot() != 4 {
 		t.Fatalf("A served slot %d after refresh, want 4", s.Slot())
 	}
-	// Aggregated telemetry must count each round exactly once despite the
-	// session having lived (in some version) on both replicas.
-	if tel := a.Telemetry(); tel.Slots != 4 {
-		t.Fatalf("A aggregated slots = %d, want 4 (stale copy double-counted?)", tel.Slots)
+	if got := a.Telemetry().Slots + b.Telemetry().Slots; got != 4 {
+		t.Fatalf("A slots + B slots = %d, want the 4 rounds served", got)
+	}
+	if c := s.State(nil).Counters; c.Slots != 4 {
+		t.Fatalf("migrated counter slots = %d, want 4", c.Slots)
+	}
+}
+
+// TestManagerTelemetryCountsEachRoundOnce: each replica's process-wide
+// counters hold the rounds it classified, so summing them over the fleet
+// counts every round once however the session moved, while the session's
+// own counters carry its whole history. A replica that only restored the
+// session has served nothing.
+func TestManagerTelemetryCountsEachRoundOnce(t *testing.T) {
+	a, b, st := storePair(t)
+	if _, err := a.CreateWithID("x", "MHEALTH", 1, Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	owners := []*Manager{a, a, a, b, b, a, b}
+	for i, m := range owners {
+		driveRound(t, m, "x", i)
+	}
+	ta, tb := a.Telemetry(), b.Telemetry()
+	if ta.Slots != 4 || tb.Slots != 3 {
+		t.Fatalf("slots A=%d B=%d, want 4 and 3", ta.Slots, tb.Slots)
+	}
+	stored, ok, err := b.StoredState("x")
+	if err != nil || !ok {
+		t.Fatalf("StoredState: ok=%v err=%v", ok, err)
+	}
+	if sum := (SessionCounters{
+		Slots:             ta.Slots + tb.Slots,
+		FreshVotes:        ta.FreshVotes + tb.FreshVotes,
+		RecallVotes:       ta.RecallVotes + tb.RecallVotes,
+		AdaptationUpdates: ta.AdaptationUpdates + tb.AdaptationUpdates,
+		QuorumAbstentions: ta.QuorumAbstentions + tb.QuorumAbstentions,
+	}); sum != stored.Counters {
+		t.Fatalf("A+B = %+v, session counters %+v", sum, stored.Counters)
+	}
+
+	c := NewManager(Config{Registry: tinyRegistry(), Workers: 1, State: st})
+	defer c.Close()
+	if _, err := c.Get("x"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Telemetry(); got != (SessionCounters{}) {
+		t.Fatalf("restore-only replica reports %+v, want zero", got)
+	}
+	driveRound(t, c, "x", len(owners))
+	if got := c.Telemetry().Slots; got != 1 {
+		t.Fatalf("replica C slots = %d after one round, want 1", got)
 	}
 }
 

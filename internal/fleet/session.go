@@ -8,7 +8,6 @@ import (
 
 	"origin/internal/ensemble"
 	"origin/internal/host"
-	"origin/internal/obs"
 	"origin/internal/sensor"
 	"origin/internal/synth"
 	"origin/internal/tensor"
@@ -107,10 +106,10 @@ type Session struct {
 	// is invisible in results.
 	score scorer
 
-	mu   sync.Mutex
-	dev  *host.Device
-	slot int
-	tel  *obs.Telemetry
+	mu       sync.Mutex
+	dev      *host.Device
+	slot     int
+	counters SessionCounters // dev's tally, plus one slot per round
 
 	// lru is maintained by the Manager's shard (guarded by the shard lock,
 	// not s.mu); lastUsed is the shard's eviction clock for this session.
@@ -125,7 +124,6 @@ func NewSession(id string, user int64, m *Model, o Opts) (*Session, error) {
 	if err := o.Validate(m); err != nil {
 		return nil, err
 	}
-	tel := obs.NewTelemetry(0)
 	dev := host.New(host.Config{
 		Sensors:    m.Sensors(),
 		Classes:    m.Classes(),
@@ -136,8 +134,9 @@ func NewSession(id string, user int64, m *Model, o Opts) (*Session, error) {
 		StaleLimit: o.StaleLimit,
 		Quorum:     o.Quorum,
 	})
-	dev.Attach(tel)
-	return &Session{id: id, user: user, model: m, opts: o, score: directScorer{m}, dev: dev, tel: tel}, nil
+	s := &Session{id: id, user: user, model: m, opts: o, score: directScorer{m}, dev: dev}
+	dev.Attach(&s.counters)
+	return s, nil
 }
 
 // newSessionFromState rebuilds a session from a decoded snapshot so a
@@ -162,11 +161,7 @@ func newSessionFromState(st SessionState, m *Model) (*Session, error) {
 		return nil, fmt.Errorf("%w: negative snapshot slot", ErrInvalid)
 	}
 	s.slot = st.Slot
-	s.tel.Slots = st.Counters.Slots
-	s.tel.FreshVotes = st.Counters.FreshVotes
-	s.tel.RecallVotes = st.Counters.RecallVotes
-	s.tel.AdaptationUpdates = st.Counters.AdaptationUpdates
-	s.tel.Faults.QuorumAbstentions = st.Counters.QuorumAbstentions
+	s.counters = st.Counters
 	return s, nil
 }
 
@@ -176,22 +171,15 @@ func newSessionFromState(st SessionState, m *Model) (*Session, error) {
 func (s *Session) State(attachment []byte) SessionState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tot := s.tel.Totals()
 	return SessionState{
-		ID:      s.id,
-		User:    s.user,
-		Profile: s.model.Name,
-		Opts:    s.opts,
-		Slot:    s.slot,
-		Device:  s.dev.State(),
-		Matrix:  s.dev.Matrix().Clone(),
-		Counters: SessionCounters{
-			Slots:             tot.Slots,
-			FreshVotes:        tot.FreshVotes,
-			RecallVotes:       tot.RecallVotes,
-			AdaptationUpdates: tot.AdaptationUpdates,
-			QuorumAbstentions: tot.Faults.QuorumAbstentions,
-		},
+		ID:         s.id,
+		User:       s.user,
+		Profile:    s.model.Name,
+		Opts:       s.opts,
+		Slot:       s.slot,
+		Device:     s.dev.State(),
+		Matrix:     s.dev.Matrix().Clone(),
+		Counters:   s.counters,
 		Attachment: append([]byte(nil), attachment...),
 	}
 }
@@ -245,16 +233,23 @@ func (s *Session) validate(in SensorInput) error {
 // An empty input slice is a valid round: the session classifies from
 // recall alone and performs no adaptation (nothing fresh arrived).
 func (s *Session) Classify(inputs []SensorInput) (ClassifyResult, error) {
+	res, _, err := s.classify(inputs)
+	return res, err
+}
+
+// classify is Classify that also returns what the round added to the
+// session's counters, for the Manager's process-wide totals.
+func (s *Session) classify(inputs []SensorInput) (ClassifyResult, SessionCounters, error) {
 	for i, in := range inputs {
 		if err := s.validate(in); err != nil {
-			return ClassifyResult{}, err
+			return ClassifyResult{}, SessionCounters{}, err
 		}
 		// One vote per sensor per round: a duplicate would double-count one
 		// location in the ensemble fusion and corrupt its recall entry. The
 		// scan is quadratic but rounds carry at most a handful of sensors.
 		for _, prev := range inputs[:i] {
 			if prev.Sensor == in.Sensor {
-				return ClassifyResult{}, fmt.Errorf("%w: duplicate sensor %d in round", ErrInvalid, in.Sensor)
+				return ClassifyResult{}, SessionCounters{}, fmt.Errorf("%w: duplicate sensor %d in round", ErrInvalid, in.Sensor)
 			}
 		}
 	}
@@ -278,6 +273,7 @@ func (s *Session) Classify(inputs []SensorInput) (ClassifyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	before := s.counters
 	slot := s.slot
 	votes := make([]VoteInfo, 0, len(inputs))
 	scored := 0
@@ -296,13 +292,13 @@ func (s *Session) Classify(inputs []SensorInput) (ClassifyResult, error) {
 		s.dev.Adapt(slot, final)
 	}
 	s.slot++
-	s.tel.Slots++ // one serving round = one telemetry slot
+	s.counters.Slots++
 	return ClassifyResult{
 		Slot:     slot,
 		Class:    final,
 		Activity: s.model.Activity(final),
 		Votes:    votes,
-	}, nil
+	}, s.counters.minus(before), nil
 }
 
 // Info returns a snapshot of the session's counters.
@@ -325,12 +321,4 @@ func (s *Session) Matrix() *ensemble.Matrix {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dev.Matrix()
-}
-
-// Telemetry returns a copy of the session's accumulated vote/adaptation
-// telemetry totals.
-func (s *Session) Telemetry() obs.Telemetry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tel.Totals()
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"origin/internal/ensemble"
-	"origin/internal/obs"
 	"origin/internal/sensor"
 )
 
@@ -97,7 +96,20 @@ type Device struct {
 	lastFresh     recallEntry
 	received      int
 	adaptsApplied int
-	obs           *obs.Telemetry
+	tally         Tally
+}
+
+// Tally receives the host's vote and adaptation events. The simulator
+// attaches its run-wide *obs.Telemetry; a serving session attaches its own
+// per-session counters.
+type Tally interface {
+	// NoteVotes records one aggregation round's inputs: fresh
+	// classifications produced this slot and recalled ones.
+	NoteVotes(fresh, recalled int)
+	// NoteQuorumAbstention records one round abstained for lack of a quorum.
+	NoteQuorumAbstention()
+	// NoteAdaptations records n online confidence-matrix updates.
+	NoteAdaptations(n int)
 }
 
 // New builds a host device from cfg, validating aggregation requirements.
@@ -124,9 +136,9 @@ func New(cfg Config) *Device {
 	}
 }
 
-// Attach routes the host's vote and adaptation events into the given
-// run telemetry. A nil telemetry detaches.
-func (d *Device) Attach(t *obs.Telemetry) { d.obs = t }
+// Attach routes the host's vote and adaptation events into t. A nil t
+// detaches; an unattached host records nothing.
+func (d *Device) Attach(t Tally) { d.tally = t }
 
 // Anticipated returns the host's anticipated activity: the class of the
 // most recent received classification, or -1 before any exists.
@@ -194,7 +206,9 @@ func (d *Device) Adapt(slot, final int) {
 		}
 		d.adaptsApplied++
 	}
-	d.obs.NoteAdaptations(d.adaptsApplied - before)
+	if d.tally != nil {
+		d.tally.NoteAdaptations(d.adaptsApplied - before)
+	}
 }
 
 // votes assembles the ensemble inputs for the given slot: every sensor's
@@ -233,10 +247,12 @@ func (d *Device) Classify(slot int) int {
 		if d.cfg.StaleLimit > 0 && slot-d.lastFresh.slot > d.cfg.StaleLimit {
 			return -1
 		}
-		if d.lastFresh.slot == slot {
-			d.obs.NoteVotes(1, 0)
-		} else {
-			d.obs.NoteVotes(0, 1)
+		if d.tally != nil {
+			if d.lastFresh.slot == slot {
+				d.tally.NoteVotes(1, 0)
+			} else {
+				d.tally.NoteVotes(0, 1)
+			}
 		}
 		return d.lastFresh.class
 	}
@@ -247,9 +263,13 @@ func (d *Device) Classify(slot int) int {
 			fresh++
 		}
 	}
-	d.obs.NoteVotes(fresh, len(vs)-fresh)
+	if d.tally != nil {
+		d.tally.NoteVotes(fresh, len(vs)-fresh)
+	}
 	if d.cfg.Quorum > 0 && len(vs) < d.cfg.Quorum {
-		d.obs.NoteQuorumAbstention()
+		if d.tally != nil {
+			d.tally.NoteQuorumAbstention()
+		}
 		return -1
 	}
 	switch d.cfg.Agg {

@@ -13,6 +13,9 @@
 // front; all other state is plain integer fields, so recording an event
 // never allocates.
 //
+// Serving does not use Telemetry: a fleet session keeps only the five
+// counters it mutates, and internal/serve renders /metrics itself.
+//
 // The package also houses the deterministic bounded worker pool
 // (pool.go) used by the experiment sweeps.
 package obs

@@ -216,17 +216,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	sample := func(typ, name, help string, v int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
+	}
+	// The ensemble counters of the rounds this process classified.
 	tel := s.cfg.Manager.Telemetry()
-	if err := tel.WritePrometheus(w); err != nil {
-		return
-	}
+	sample("counter", "origin_slots_total", "Classify rounds served by this process.", int64(tel.Slots))
+	sample("counter", "origin_fresh_votes_total", "Ensemble votes from fresh classifications.", int64(tel.FreshVotes))
+	sample("counter", "origin_recall_votes_total", "Ensemble votes from recalled classifications.", int64(tel.RecallVotes))
+	sample("counter", "origin_adaptation_updates_total", "Online confidence-matrix updates.", int64(tel.AdaptationUpdates))
+	sample("counter", "origin_quorum_abstentions_total", "Rounds abstained for lack of a vote quorum.", int64(tel.QuorumAbstentions))
+
 	snap := s.cfg.Manager.Snapshot()
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP origin_serve_%s %s\n# TYPE origin_serve_%s gauge\norigin_serve_%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP origin_serve_%s %s\n# TYPE origin_serve_%s counter\norigin_serve_%s %d\n", name, help, name, name, v)
-	}
+	gauge := func(name, help string, v int64) { sample("gauge", "origin_serve_"+name, help, v) }
+	counter := func(name, help string, v int64) { sample("counter", "origin_serve_"+name, help, v) }
 	gauge("sessions_active", "Live sessions.", int64(snap.SessionsActive))
 	counter("sessions_created_total", "Sessions opened.", snap.SessionsCreated)
 	counter("sessions_evicted_total", "Sessions evicted by LRU/TTL.", snap.SessionsEvicted)

@@ -134,15 +134,29 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// prop: /metrics speaks Prometheus text format and carries both the
-// device-level telemetry and the serving counters the ISSUE names.
+// TestMetricsEndpoint pins the /metrics exposition: the five ensemble
+// counters of the rounds this process classified, the origin_serve_*
+// serving state, no simulator-only series, and a TYPE header before every
+// sample.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newServer(t)
 	var created serve.CreateSessionResponse
 	post(t, ts.URL+"/v1/sessions", serve.CreateSessionRequest{Profile: "MHEALTH"}, &created)
+	// Round i brings one fresh vote from a new sensor and recalls the i
+	// earlier ones; all agree, so every vote adapts the matrix: 3 fresh,
+	// 0+1+2 recalled, 1+2+3 adaptations.
 	for i := 0; i < 3; i++ {
 		post(t, ts.URL+"/v1/sessions/"+created.ID+"/classify",
 			serve.ClassifyRequest{Votes: []serve.Vote{{Sensor: i % 3, Class: 0, Confidence: 0.02}}}, nil)
+	}
+	// One vote under a quorum of 2 abstains, and an abstention adapts nothing.
+	var gated serve.CreateSessionResponse
+	post(t, ts.URL+"/v1/sessions", serve.CreateSessionRequest{Profile: "MHEALTH", Quorum: 2}, &gated)
+	var res fleet.ClassifyResult
+	post(t, ts.URL+"/v1/sessions/"+gated.ID+"/classify",
+		serve.ClassifyRequest{Votes: []serve.Vote{{Sensor: 0, Class: 0, Confidence: 0.02}}}, &res)
+	if res.Class != -1 {
+		t.Fatalf("one vote under quorum 2 classified %d, want -1", res.Class)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -159,20 +173,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
 	for _, want := range []string{
-		"origin_fresh_votes_total 3",
-		"origin_slots_total 3",
-		"origin_serve_sessions_active 1",
-		"origin_serve_sessions_created_total 1",
+		"origin_slots_total 4",
+		"origin_fresh_votes_total 4",
+		"origin_recall_votes_total 3",
+		"origin_adaptation_updates_total 6",
+		"origin_quorum_abstentions_total 1",
+		"# TYPE origin_slots_total counter",
+		"origin_serve_sessions_active 2",
+		"origin_serve_sessions_created_total 2",
 		"origin_serve_sessions_evicted_total 0",
-		"origin_serve_requests_accepted_total 3",
+		"origin_serve_requests_accepted_total 4",
 		"origin_serve_requests_shed_total 0",
-		"origin_serve_requests_done_total 3",
+		"origin_serve_requests_done_total 4",
 		"origin_serve_queue_depth 0",
 		"# TYPE origin_serve_sessions_active gauge",
 		"# TYPE origin_serve_requests_accepted_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	for _, gone := range []string{"origin_link_", "origin_inferences_"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still carry simulator series %s*", gone)
+		}
+	}
+
+	// Exposition-format hygiene: every sample line's metric has a TYPE
+	// header before it, and no line is blank or malformed.
+	types := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		switch {
+		case line == "":
+			t.Error("blank line in exposition output")
+		case strings.HasPrefix(line, "# TYPE "):
+			types[strings.Fields(line)[2]] = true
+		case strings.HasPrefix(line, "#"):
+		default:
+			fields := strings.Fields(line)
+			if len(fields) != 2 {
+				t.Errorf("malformed sample line %q", line)
+			} else if !types[fields[0]] {
+				t.Errorf("sample %q has no preceding TYPE header", line)
+			}
 		}
 	}
 }
